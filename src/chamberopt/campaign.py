@@ -11,19 +11,22 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .acquisition import AcquisitionConfig, incumbent
-from .errors import InvalidStateError, StateFileError
+from .errors import (BoundsViolationError, DataError, InvalidStateError,
+                     StateFileError)
 from .evaluators import (Dataset, Observation, read_results, write_proposals)
-from .gp import (KERNEL_NU, GpHyperparameters, GpModel, StandardizationSpec,
-                 fit)
+from .gp import GpHyperparameters, GpModel, StandardizationSpec, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, latin_hypercube
 
-STATE_VERSION = 1
+# version 1 also stored the constants "kernel_nu" and "sampler"; load_state
+# still reads such files and ignores the two keys
+STATE_VERSION = 2
+_READABLE_VERSIONS = (1, STATE_VERSION)
 
 # role tags for deriving per-stage substream seeds
 _ROLE_FIT_K = 1
@@ -54,8 +57,6 @@ class CampaignState:
     fitted_hyper_v: GpHyperparameters | None = None
     fitted_standardize_k: StandardizationSpec | None = None
     fitted_standardize_v: StandardizationSpec | None = None
-    kernel_nu: float = KERNEL_NU
-    sampler: str = "sobol-scrambled"
     lhs_midpoint: bool = False
 
     @property
@@ -262,23 +263,14 @@ def save_state(state: CampaignState, path: str) -> None:
     """Serialize to versioned JSON via temp-file + rename (atomic)."""
     doc = {
         "version": STATE_VERSION,
-        "kernel_nu": state.kernel_nu,
-        "sampler": state.sampler,
         "lhs_midpoint": state.lhs_midpoint,
         "evaluator": state.evaluator,
         "rng_seed": state.rng_seed,
         "iteration": state.iteration,
         "doe_n": state.doe_n,
         "space": state.space.to_config(),
-        "acq": {"kind": state.acq.kind,
-                "constraint_threshold": state.acq.constraint_threshold,
-                "mc_samples": state.acq.mc_samples,
-                "batch_size": state.acq.batch_size,
-                "ucb_beta": state.acq.ucb_beta},
-        "budget": {"raw_samples": state.budget.raw_samples,
-                   "restarts": state.budget.restarts,
-                   "max_iters_per_restart": state.budget.max_iters_per_restart,
-                   "convergence_tol": state.budget.convergence_tol},
+        "acq": asdict(state.acq),
+        "budget": asdict(state.budget),
         "dataset": [{"x": list(r.x), "k": r.k, "v": r.v, "tag": r.tag}
                     for r in state.dataset],
         "pending": [{"id": pid, "x": list(x)} for pid, x in state.pending],
@@ -309,10 +301,10 @@ def load_state(path: str) -> CampaignState:
         raise StateFileError(f"cannot read state file {path}: {e}") from e
     if not isinstance(doc, dict) or "version" not in doc:
         raise StateFileError(f"{path}: not a campaign state file")
-    if doc["version"] != STATE_VERSION:
+    if doc["version"] not in _READABLE_VERSIONS:
         raise StateFileError(
             f"{path}: unsupported state version {doc['version']} "
-            f"(expected {STATE_VERSION})")
+            f"(expected one of {_READABLE_VERSIONS})")
     try:
         space = ParameterSpace.from_config(doc["space"])
         acq = AcquisitionConfig(**doc["acq"])
@@ -329,8 +321,8 @@ def load_state(path: str) -> CampaignState:
             fitted_hyper_v=_hyper_from_json(doc["fitted_hyper_v"]),
             fitted_standardize_k=_std_from_json(doc["fitted_standardize_k"]),
             fitted_standardize_v=_std_from_json(doc["fitted_standardize_v"]),
-            kernel_nu=doc["kernel_nu"], sampler=doc["sampler"],
             lhs_midpoint=doc["lhs_midpoint"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, BoundsViolationError,
+            DataError) as e:
         raise StateFileError(f"{path}: malformed state file: {e}") from e
     return state

@@ -90,12 +90,32 @@ def _parser():
     return p
 
 
+def _config_section(cfg: dict, key: str, cls):
+    """Build ``cls`` from the optional object ``cfg[key]``; errors name the field."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config field {key!r} must be a JSON object")
+    try:
+        return cls(**section)
+    except TypeError as e:
+        raise ValueError(f"config field {key!r}: {e}") from e
+
+
 def _cmd_init(args):
     with open(args.config) as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{args.config}: config must be a JSON object")
+    if not isinstance(cfg.get("space"), list):
+        raise ValueError(f"{args.config}: config field 'space' must be a list "
+                         "of dimension records")
+    for key, kind in (("doe_n", int), ("seed", int), ("evaluator", str),
+                      ("lhs_midpoint", bool)):
+        if key in cfg and not isinstance(cfg[key], kind):
+            raise ValueError(f"config field {key!r} must be of type {kind.__name__}")
     space = ParameterSpace.from_config(cfg["space"])
-    acq = AcquisitionConfig(**cfg.get("acq", {}))
-    budget = OptimizerBudget(**cfg.get("budget", {}))
+    acq = _config_section(cfg, "acq", AcquisitionConfig)
+    budget = _config_section(cfg, "budget", OptimizerBudget)
     state = camp.init_campaign(space, acq, budget,
                                doe_n=cfg.get("doe_n", 10),
                                seed=cfg.get("seed", 0),

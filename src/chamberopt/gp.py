@@ -17,7 +17,6 @@ from .errors import DegenerateDataError, NumericError
 from .kernels import matern52_cross, matern52_cross_grad
 
 NOISE_STD = 0.005          # fixed, standardized output units; never fitted
-KERNEL_NU = 2.5
 
 _LS_BOUNDS = (1e-3, 1e3)
 _SV_BOUNDS = (1e-4, 1e4)
@@ -59,7 +58,6 @@ class GpModel:
     chol: np.ndarray                # lower factor of K + noise^2 I (+ jitter)
     alpha: np.ndarray               # (K + noise^2 I)^-1 y
     channel: str = "objective"
-    nu: float = KERNEL_NU
 
     @property
     def n_train(self) -> int:
@@ -116,17 +114,30 @@ def standardization_for(raw_targets: np.ndarray, channel: str) -> Standardizatio
     raise ValueError(f"unknown channel {channel!r}")
 
 
+def _factor(K: np.ndarray, y: np.ndarray,
+            noise_std: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lower Cholesky factor L of K + noise^2 I, alpha = (K + noise^2 I)^-1 y
+    and the log marginal likelihood, all from the one factor (GPML Alg. 2.1)."""
+    n = K.shape[0]
+    L, _ = _chol_with_jitter(K + noise_std**2 * np.eye(n))
+    alpha = cho_solve((L, True), y)
+    lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L)))
+                - 0.5 * n * np.log(2.0 * np.pi))
+    return L, alpha, lml
+
+
+def _lengthscales(log_params: np.ndarray, d: int, isotropic: bool) -> np.ndarray:
+    if isotropic:
+        return np.full(d, np.exp(log_params[0]))
+    return np.exp(log_params[:-1])
+
+
 def log_marginal_likelihood(X: np.ndarray, y: np.ndarray,
                             lengthscales: np.ndarray, signal_variance: float,
                             noise_std: float = NOISE_STD) -> float:
     K = matern52_cross(X, X, np.asarray(lengthscales, dtype=float),
                        float(signal_variance))
-    Kn = K + noise_std**2 * np.eye(X.shape[0])
-    L, _ = _chol_with_jitter(Kn)
-    alpha = cho_solve((L, True), y)
-    n = X.shape[0]
-    return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L)))
-                 - 0.5 * n * np.log(2.0 * np.pi))
+    return _factor(K, y, noise_std)[2]
 
 
 def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
@@ -137,18 +148,11 @@ def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
     log_params = (log l_1..log l_d, log s2), or (log l, log s2) if isotropic.
     """
     n, d = X.shape
-    if isotropic:
-        ls = np.full(d, np.exp(log_params[0]))
-    else:
-        ls = np.exp(log_params[:-1])
+    ls = _lengthscales(log_params, d, isotropic)
     s2 = np.exp(log_params[-1])
 
     K, dK = matern52_cross_grad(X, X, ls, s2)
-    Kn = K + noise_std**2 * np.eye(n)
-    L, _ = _chol_with_jitter(Kn)
-    alpha = cho_solve((L, True), y)
-    lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L)))
-                - 0.5 * n * np.log(2.0 * np.pi))
+    L, alpha, lml = _factor(K, y, noise_std)
 
     Kn_inv = cho_solve((L, True), np.eye(n))
     M = np.outer(alpha, alpha) - Kn_inv
@@ -212,19 +216,9 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str, seed: int,
     if best_p is None:
         raise NumericError("all hyperparameter restarts failed")
 
-    if isotropic:
-        ls = np.full(d, np.exp(best_p[0]))
-    else:
-        ls = np.exp(best_p[:-1])
-    hyper = GpHyperparameters(lengthscales=ls,
+    hyper = GpHyperparameters(lengthscales=_lengthscales(best_p, d, isotropic),
                               signal_variance=float(np.exp(best_p[-1])))
-
-    K = matern52_cross(X, X, hyper.lengthscales, hyper.signal_variance)
-    Kn = K + hyper.noise_std**2 * np.eye(n)
-    L, _ = _chol_with_jitter(Kn)
-    alpha = cho_solve((L, True), y)
-    return GpModel(hyper=hyper, standardize=spec, train_inputs=X,
-                   train_targets=y, chol=L, alpha=alpha, channel=channel)
+    return model_from_hyper(X, y_raw, channel, hyper)
 
 
 def model_from_hyper(inputs, raw_targets, channel, hyper: GpHyperparameters) -> GpModel:
@@ -234,11 +228,18 @@ def model_from_hyper(inputs, raw_targets, channel, hyper: GpHyperparameters) -> 
     spec = standardization_for(y_raw, channel)
     y = (y_raw - spec.center) / spec.scale
     K = matern52_cross(X, X, hyper.lengthscales, hyper.signal_variance)
-    Kn = K + hyper.noise_std**2 * np.eye(X.shape[0])
-    L, _ = _chol_with_jitter(Kn)
-    alpha = cho_solve((L, True), y)
+    L, alpha, _ = _factor(K, y, hyper.noise_std)
     return GpModel(hyper=hyper, standardize=spec, train_inputs=X,
                    train_targets=y, chol=L, alpha=alpha, channel=channel)
+
+
+def _cross_solve(model: GpModel, Xq: np.ndarray):
+    """Query points as a 2-D array, the posterior mean there (standardized
+    units) and V = L^-1 k_x, the triangular solve against the train factor."""
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    Kx = matern52_cross(Xq, model.train_inputs,
+                        model.hyper.lengthscales, model.hyper.signal_variance)
+    return Xq, Kx @ model.alpha, solve_triangular(model.chol, Kx.T, lower=True)
 
 
 def posterior(model: GpModel, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,11 +248,7 @@ def posterior(model: GpModel, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Variance is the latent-function variance k(x,x) - k_x^T Kn^-1 k_x,
     clamped at zero before the square root.
     """
-    Xq = np.atleast_2d(np.asarray(X_query, dtype=float))
-    Kx = matern52_cross(Xq, model.train_inputs,
-                        model.hyper.lengthscales, model.hyper.signal_variance)
-    mean = Kx @ model.alpha
-    V = solve_triangular(model.chol, Kx.T, lower=True)
+    _, mean, V = _cross_solve(model, X_query)
     var = model.hyper.signal_variance - np.sum(V * V, axis=0)
     std = np.sqrt(np.maximum(var, 0.0))
     return mean, std
@@ -264,15 +261,10 @@ def posterior_at(model: GpModel, x: np.ndarray) -> PosteriorGaussian:
 
 def joint_posterior_mvn(model: GpModel, XS: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint posterior mean vector and covariance matrix at a set of points."""
-    XS = np.atleast_2d(np.asarray(XS, dtype=float))
-    Kx = matern52_cross(XS, model.train_inputs,
-                        model.hyper.lengthscales, model.hyper.signal_variance)
+    XS, mean, V = _cross_solve(model, XS)
     Kss = matern52_cross(XS, XS, model.hyper.lengthscales,
                          model.hyper.signal_variance)
-    mean = Kx @ model.alpha
-    V = solve_triangular(model.chol, Kx.T, lower=True)
-    cov = Kss - V.T @ V
-    return mean, cov
+    return mean, Kss - V.T @ V
 
 
 def joint_posterior_samples(model: GpModel, XS: np.ndarray, n_samples: int,

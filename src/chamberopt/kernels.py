@@ -1,22 +1,21 @@
-"""Hot numeric kernels: Matern-5/2 covariance and the Monte Carlo batch
-improvement reduction.
-
-Both have a numba-jitted implementation and a pure-numpy one. Set
-``CHAMBEROPT_NO_NUMBA=1`` (or install without numba) to force the numpy path;
-``USING_NUMBA`` reports which one is active. ``benchmarks/bench_kernels.py``
-compares the two.
+"""Hot numeric kernels in numpy: the Matern-5/2 covariance with its
+log-lengthscale derivatives, and the Monte Carlo batch reductions of sampled
+improvement and feasibility.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+# read by campaign_bench/run.py's environment() record
+USING_NUMBA = False
 
 _SQRT5 = np.sqrt(5.0)
 
 
-def _matern52_cross_np(A, B, lengthscales, signal_variance):
+def _scaled_distances(A, B, lengthscales):
+    """Lengthscale-scaled inputs SA, SB, their squared distances r2, the
+    distances r (r2 clamped at 0) and exp(-sqrt5 r)."""
     SA = A / lengthscales
     SB = B / lengthscales
     r2 = (
@@ -25,10 +24,15 @@ def _matern52_cross_np(A, B, lengthscales, signal_variance):
         - 2.0 * SA @ SB.T
     )
     r = np.sqrt(np.maximum(r2, 0.0))
-    return signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-_SQRT5 * r)
+    return SA, SB, r2, r, np.exp(-_SQRT5 * r)
 
 
-def _matern52_cross_grad_np(A, B, lengthscales, signal_variance):
+def matern52_cross(A, B, lengthscales, signal_variance):
+    _, _, r2, r, e = _scaled_distances(A, B, lengthscales)
+    return signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * e
+
+
+def matern52_cross_grad(A, B, lengthscales, signal_variance):
     """Kernel matrix plus derivatives w.r.t. log-lengthscales.
 
     Returns (K, dK) with dK of shape (d, n, m); dK[i] = dK/d log(l_i).
@@ -36,15 +40,7 @@ def _matern52_cross_grad_np(A, B, lengthscales, signal_variance):
     which is smooth through r = 0.
     """
     d = A.shape[1]
-    SA = A / lengthscales
-    SB = B / lengthscales
-    r2 = (
-        np.sum(SA * SA, axis=1)[:, None]
-        + np.sum(SB * SB, axis=1)[None, :]
-        - 2.0 * SA @ SB.T
-    )
-    r = np.sqrt(np.maximum(r2, 0.0))
-    e = np.exp(-_SQRT5 * r)
+    SA, SB, r2, r, e = _scaled_distances(A, B, lengthscales)
     K = signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * e
     core = signal_variance * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * e
     dK = np.empty((d, A.shape[0], B.shape[0]))
@@ -54,7 +50,7 @@ def _matern52_cross_grad_np(A, B, lengthscales, signal_variance):
     return K, dK
 
 
-def _mc_batch_improvement_np(k_samples, v_samples, best, threshold):
+def mc_batch_improvement(k_samples, v_samples, best, threshold):
     """Mean over samples of max_q [ 1(v <= threshold) * max(0, k - best) ].
 
     k_samples, v_samples: (n_samples, q) joint posterior draws in raw units.
@@ -64,74 +60,6 @@ def _mc_batch_improvement_np(k_samples, v_samples, best, threshold):
     return float(np.mean(np.max(imp, axis=1)))
 
 
-def _mc_batch_feasibility_np(v_samples, threshold):
+def mc_batch_feasibility(v_samples, threshold):
     """Mean over samples of 1(any of the q points is feasible)."""
     return float(np.mean(np.any(v_samples <= threshold, axis=1)))
-
-
-_use_numba = os.environ.get("CHAMBEROPT_NO_NUMBA", "") not in ("1", "true", "yes")
-if _use_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _use_numba = False
-
-if _use_numba:
-
-    @njit(cache=True, fastmath=False)
-    def _matern52_cross_nb(A, B, lengthscales, signal_variance):
-        n, d = A.shape
-        m = B.shape[0]
-        K = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                r2 = 0.0
-                for t in range(d):
-                    dt = (A[i, t] - B[j, t]) / lengthscales[t]
-                    r2 += dt * dt
-                r = np.sqrt(r2)
-                K[i, j] = (
-                    signal_variance
-                    * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2)
-                    * np.exp(-_SQRT5 * r)
-                )
-        return K
-
-    @njit(cache=True, fastmath=False)
-    def _mc_batch_improvement_nb(k_samples, v_samples, best, threshold):
-        n, q = k_samples.shape
-        acc = 0.0
-        for s in range(n):
-            m = 0.0
-            for j in range(q):
-                if v_samples[s, j] <= threshold:
-                    imp = k_samples[s, j] - best
-                    if imp > m:
-                        m = imp
-            acc += m
-        return acc / n
-
-    @njit(cache=True, fastmath=False)
-    def _mc_batch_feasibility_nb(v_samples, threshold):
-        n, q = v_samples.shape
-        acc = 0.0
-        for s in range(n):
-            for j in range(q):
-                if v_samples[s, j] <= threshold:
-                    acc += 1.0
-                    break
-        return acc / n
-
-    matern52_cross = _matern52_cross_nb
-    mc_batch_improvement = _mc_batch_improvement_nb
-    mc_batch_feasibility = _mc_batch_feasibility_nb
-    USING_NUMBA = True
-else:
-    matern52_cross = _matern52_cross_np
-    mc_batch_improvement = _mc_batch_improvement_np
-    mc_batch_feasibility = _mc_batch_feasibility_np
-    USING_NUMBA = False
-
-# gradient path is numpy-only: it is evaluated O(10^2) times per fit and is
-# dominated by the dense solves, not the kernel loop
-matern52_cross_grad = _matern52_cross_grad_np

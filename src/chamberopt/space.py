@@ -89,6 +89,10 @@ class ParameterSpace:
 
     @classmethod
     def from_config(cls, records) -> "ParameterSpace":
+        for i, r in enumerate(records):
+            if not isinstance(r, dict) or not {"name", "lower", "upper"} <= r.keys():
+                raise ValueError(f"space[{i}]: a dimension record needs 'name', "
+                                 f"'lower' and 'upper', got {r!r}")
         return cls(tuple(Dimension(r["name"], float(r["lower"]), float(r["upper"]))
                          for r in records))
 

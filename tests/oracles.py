@@ -64,3 +64,30 @@ def normal_cdf(z):
 
 def normal_pdf(z):
     return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+
+def mc_batch_improvement_loop(k_samples, v_samples, best, threshold):
+    """Sample mean of the best feasible improvement, one scalar at a time."""
+    n, q = k_samples.shape
+    acc = 0.0
+    for s in range(n):
+        m = 0.0
+        for j in range(q):
+            if v_samples[s, j] <= threshold:
+                imp = k_samples[s, j] - best
+                if imp > m:
+                    m = imp
+        acc += m
+    return acc / n
+
+
+def mc_batch_feasibility_loop(v_samples, threshold):
+    """Share of samples with at least one feasible batch point."""
+    n, q = v_samples.shape
+    acc = 0.0
+    for s in range(n):
+        for j in range(q):
+            if v_samples[s, j] <= threshold:
+                acc += 1.0
+                break
+    return acc / n

@@ -205,7 +205,6 @@ def _states_equal(a: CampaignState, b: CampaignState):
     assert a.evaluator == b.evaluator
     assert a.doe_n == b.doe_n
     assert a.pending == b.pending
-    assert a.kernel_nu == b.kernel_nu
     assert len(a.dataset) == len(b.dataset)
     for ra, rb in zip(a.dataset, b.dataset):
         assert ra == rb

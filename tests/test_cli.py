@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import shutil
+
+import pytest
 
 from chamberopt.campaign import load_state
-from chamberopt.cli import (EXIT_OK, EXIT_PROTOCOL, EXIT_STATE, EXIT_USAGE,
-                            main)
+from chamberopt.cli import (EXIT_IO, EXIT_OK, EXIT_PROTOCOL, EXIT_STATE,
+                            EXIT_USAGE, main)
 from chamberopt.evaluators import proxy_prechamber, read_proposals
 from chamberopt.space import PRECHAMBER_SPACE
 
@@ -146,3 +149,112 @@ def test_env_var_campaign_dir(tmp_path, capsys, monkeypatch):
 def test_ucb_acquisition_runs(tmp_path, capsys):
     assert main(_run_args(tmp_path, ["--acquisition", "ucb",
                                      "--ucb-beta", "1.0"])) == EXIT_OK
+
+
+def _doe_ingested(tmp_path):
+    """External campaign directory with its DOE results ingested."""
+    d = tmp_path / "camp"
+    main(["init", "--config", str(_config(tmp_path)), "--dir", str(d)])
+    _answer(d / "proposals_iter0.csv", d / "r0.csv")
+    assert main(["ingest", str(d / "r0.csv"), "--dir", str(d)]) == EXIT_OK
+    return d
+
+
+def _edit_state(d, edit):
+    doc = json.loads((d / "state.json").read_text())
+    edit(doc)
+    (d / "state.json").write_text(json.dumps(doc, indent=1))
+    return (d / "state.json").read_bytes()
+
+
+def _out_of_bounds(doc):
+    doc["dataset"][1]["x"][0] = 1e6
+
+
+def _duplicate_row(doc):
+    doc["dataset"].append(dict(doc["dataset"][0]))
+
+
+def _nan_k(doc):
+    doc["dataset"][2]["k"] = float("nan")
+
+
+@pytest.mark.parametrize("corrupt", [_out_of_bounds, _duplicate_row, _nan_k])
+def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
+    d = _doe_ingested(tmp_path)
+    before = _edit_state(d, corrupt)
+    capsys.readouterr()
+    assert main(["report", "--dir", str(d)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "I/O error" in err and "Traceback" not in err
+    assert (d / "state.json").read_bytes() == before
+
+
+def _no_space(cfg):
+    del cfg["space"]
+
+
+def _unknown_acq_key(cfg):
+    cfg["acq"]["bogus"] = 1
+
+
+def _unknown_budget_key(cfg):
+    cfg["budget"]["bogus"] = 1
+
+
+def _dimension_without_upper(cfg):
+    del cfg["space"][1]["upper"]
+
+
+def _string_doe_size(cfg):
+    cfg["doe_n"] = "4"
+
+
+def _top_level_list(cfg):
+    return [cfg]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_no_space, "space"),
+    (_unknown_acq_key, "acq"),
+    (_unknown_budget_key, "budget"),
+    (_dimension_without_upper, "upper"),
+    (_string_doe_size, "doe_n"),
+    (_top_level_list, "JSON object"),
+])
+def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
+    path = _config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg = edit(cfg) or cfg
+    path.write_text(json.dumps(cfg))
+    d = tmp_path / "camp"
+    assert main(["init", "--config", str(path), "--dir", str(d)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (d / "state.json").exists()
+
+
+def test_version_1_state_resumes_like_version_2(tmp_path, capsys):
+    v2 = _doe_ingested(tmp_path)
+    v1 = tmp_path / "camp_v1"
+    shutil.copytree(v2, v1)
+
+    def as_version_1(doc):
+        assert doc["version"] == 2 and "kernel_nu" not in doc
+        doc.update(version=1, kernel_nu=2.5, sampler="sobol-scrambled")
+
+    _edit_state(v1, as_version_1)
+    assert len(load_state(v1 / "state.json").dataset) == 4
+    for d in (v1, v2):
+        assert main(["propose", "--dir", str(d)]) == EXIT_OK
+    assert ((v1 / "proposals_iter1.csv").read_bytes()
+            == (v2 / "proposals_iter1.csv").read_bytes())
+    assert json.loads((v1 / "state.json").read_text())["version"] == 2
+
+
+def test_unknown_state_version_is_io_error(tmp_path, capsys):
+    d = _doe_ingested(tmp_path)
+    before = _edit_state(d, lambda doc: doc.update(version=3))
+    assert main(["report", "--dir", str(d)]) == EXIT_IO
+    assert "version 3" in capsys.readouterr().err
+    assert (d / "state.json").read_bytes() == before

@@ -1,29 +1,34 @@
 import numpy as np
 import pytest
 
-from chamberopt.kernels import (_matern52_cross_np, _mc_batch_feasibility_np,
-                                _mc_batch_improvement_np, matern52_cross,
-                                matern52_cross_grad, mc_batch_feasibility,
-                                mc_batch_improvement)
+from chamberopt.kernels import (matern52_cross, matern52_cross_grad,
+                                mc_batch_feasibility, mc_batch_improvement)
+from oracles import (kernel_matrix, mc_batch_feasibility_loop,
+                     mc_batch_improvement_loop)
+
+_EPS = np.finfo(float).eps
 
 
-def test_active_matern_matches_numpy_reference():
+def test_matern_matches_loop_oracle():
     rng = np.random.default_rng(0)
     A, B = rng.uniform(size=(30, 4)), rng.uniform(size=(7, 4))
     ls = rng.uniform(0.1, 2.0, 4)
+    # the expanded |a|^2 + |b|^2 - 2ab form rounds r^2 by a few eps times
+    # max |a/l|^2 <= 400, i.e. < 1e-12, and |dk/d r^2| <= 5/6 * s2
     np.testing.assert_allclose(matern52_cross(A, B, ls, 1.7),
-                               _matern52_cross_np(A, B, ls, 1.7),
-                               rtol=1e-12, atol=1e-14)
+                               kernel_matrix(A, B, ls, 1.7),
+                               rtol=1e-12, atol=1.7 * 1e-12)
 
 
-def test_active_mc_reductions_match_numpy_reference():
+def test_mc_reductions_match_loop_oracles():
     rng = np.random.default_rng(1)
     ks = rng.normal(1.0, 1.0, (500, 5))
     vs = rng.normal(25.0, 2.0, (500, 5))
-    # summation order differs between the two paths
+    # maxima and masks are exact; only the order of the 500-term sum differs
     assert mc_batch_improvement(ks.copy(), vs, 0.5, 25.0) == pytest.approx(
-        _mc_batch_improvement_np(ks.copy(), vs, 0.5, 25.0), rel=1e-12)
-    assert mc_batch_feasibility(vs, 25.0) == _mc_batch_feasibility_np(vs, 25.0)
+        mc_batch_improvement_loop(ks, vs, 0.5, 25.0), rel=500 * _EPS, abs=0.0)
+    # a sum of 1.0s is exact in any order
+    assert mc_batch_feasibility(vs, 25.0) == mc_batch_feasibility_loop(vs, 25.0)
 
 
 def test_grad_matches_finite_differences():
@@ -32,14 +37,14 @@ def test_grad_matches_finite_differences():
     ls = rng.uniform(0.2, 1.5, 3)
     s2 = 0.8
     K, dK = matern52_cross_grad(A, A, ls, s2)
-    np.testing.assert_allclose(K, _matern52_cross_np(A, A, ls, s2), rtol=1e-12)
+    np.testing.assert_allclose(K, matern52_cross(A, A, ls, s2), rtol=1e-12)
     h = 1e-6
     for i in range(3):
         ls_p, ls_m = ls.copy(), ls.copy()
         ls_p[i] *= np.exp(h)
         ls_m[i] *= np.exp(-h)
-        fd = (_matern52_cross_np(A, A, ls_p, s2)
-              - _matern52_cross_np(A, A, ls_m, s2)) / (2 * h)
+        fd = (matern52_cross(A, A, ls_p, s2)
+              - matern52_cross(A, A, ls_m, s2)) / (2 * h)
         np.testing.assert_allclose(dK[i], fd, atol=1e-6)
 
 
