@@ -1,5 +1,5 @@
 """Acquisition functions: EI, probability of feasibility, their product
-(constrained EI), Monte Carlo batch constrained EI, and UCB.
+(constrained EI) and Monte Carlo batch constrained EI.
 
 All closed forms operate on raw-unit posteriors so the constraint threshold
 needs no transformation; the objective and constraint GPs are independent.
@@ -19,21 +19,15 @@ from .kernels import mc_batch_feasibility, mc_batch_improvement
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
-    kind: str = "cei"                  # "cei" or "ucb"
     constraint_threshold: float = 25.0
     mc_samples: int = 1024
     batch_size: int = 5
-    ucb_beta: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("cei", "ucb"):
-            raise ValueError(f"unknown acquisition kind {self.kind!r}")
         if self.mc_samples < 1 or self.batch_size < 1:
             raise ValueError("mc_samples and batch_size must be >= 1")
         if not np.isfinite(self.constraint_threshold):
             raise ValueError("constraint threshold must be finite")
-        if self.ucb_beta < 0:
-            raise ValueError("ucb_beta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -60,12 +54,6 @@ def probability_feasible(g: PosteriorGaussian, threshold: float) -> float:
 def constrained_ei(gk: PosteriorGaussian, gv: PosteriorGaussian,
                    best: float, threshold: float) -> float:
     return probability_feasible(gv, threshold) * expected_improvement(gk, best)
-
-
-def ucb(g: PosteriorGaussian, beta: float) -> float:
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    return g.mean + beta * g.std
 
 
 def incumbent(dataset, threshold: float) -> Incumbent | None:

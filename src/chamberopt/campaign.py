@@ -11,22 +11,25 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .acquisition import AcquisitionConfig, incumbent
 from .errors import (BoundsViolationError, DataError, InvalidStateError,
                      StateFileError)
-from .evaluators import (Dataset, Observation, read_results, write_proposals)
+from .evaluators import (EVALUATORS, Dataset, Observation, read_results,
+                         write_proposals)
 from .gp import GpHyperparameters, GpModel, StandardizationSpec, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, latin_hypercube
 
-# version 1 also stored the constants "kernel_nu" and "sampler"; load_state
-# still reads such files and ignores the two keys
-STATE_VERSION = 2
-_READABLE_VERSIONS = (1, STATE_VERSION)
+# version 1 also stored the constants "kernel_nu" and "sampler", and versions
+# 1 and 2 an acquisition "kind" with the weight of its removed second mode;
+# load_state still reads such files, ignores those keys and refuses a
+# campaign whose kind was not "cei"
+STATE_VERSION = 3
+_READABLE_VERSIONS = (1, 2, STATE_VERSION)
 
 # role tags for deriving per-stage substream seeds
 _ROLE_FIT_K = 1
@@ -65,7 +68,6 @@ class CampaignState:
 
 
 def _evaluator_fn(state: CampaignState):
-    from .evaluators import EVALUATORS
     if state.evaluator not in EVALUATORS:
         raise InvalidStateError(f"campaign has no built-in evaluator "
                                 f"({state.evaluator!r}); use propose/ingest")
@@ -83,6 +85,9 @@ def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
     """
     if doe_n < 2:
         raise ValueError("DOE size must be >= 2")
+    if evaluator != "external" and evaluator not in EVALUATORS:
+        raise ValueError(f"unknown evaluator {evaluator!r}; expected "
+                         f"'external' or one of {sorted(EVALUATORS)}")
     state = CampaignState(space=space, acq=acq, budget=budget,
                           dataset=Dataset(space=space), doe_n=doe_n,
                           rng_seed=seed, evaluator=evaluator,
@@ -307,7 +312,14 @@ def load_state(path: str) -> CampaignState:
             f"(expected one of {_READABLE_VERSIONS})")
     try:
         space = ParameterSpace.from_config(doc["space"])
-        acq = AcquisitionConfig(**doc["acq"])
+        acq = doc["acq"]
+        if doc["version"] < 3:
+            if acq["kind"] != "cei":
+                raise StateFileError(
+                    f"{path}: acquisition kind {acq['kind']!r} has been removed; "
+                    "only constrained EI ('cei') campaigns can be resumed")
+            acq = {f.name: acq[f.name] for f in fields(AcquisitionConfig)}
+        acq = AcquisitionConfig(**acq)
         budget = OptimizerBudget(**doc["budget"])
         dataset = Dataset(space=space)
         for r in doc["dataset"]:

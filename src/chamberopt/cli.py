@@ -77,8 +77,6 @@ def _parser():
     sp.add_argument("--threshold", type=float, default=None,
                     help="constraint threshold (default: evaluator's own)")
     sp.add_argument("--mc-samples", type=int, default=1024)
-    sp.add_argument("--acquisition", choices=["cei", "ucb"], default="cei")
-    sp.add_argument("--ucb-beta", type=float, default=2.0)
     _add_budget_args(sp)
 
     sp = sub.add_parser("report", help="write result tables")
@@ -151,9 +149,8 @@ def _cmd_ingest(args):
 def _cmd_run(args):
     _, space, default_thr = EVALUATORS[args.evaluator]
     thr = args.threshold if args.threshold is not None else default_thr
-    acq = AcquisitionConfig(kind=args.acquisition, constraint_threshold=thr,
-                            mc_samples=args.mc_samples, batch_size=args.q,
-                            ucb_beta=args.ucb_beta)
+    acq = AcquisitionConfig(constraint_threshold=thr,
+                            mc_samples=args.mc_samples, batch_size=args.q)
     state = camp.init_campaign(space, acq, _budget(args), doe_n=args.doe,
                                seed=args.seed, evaluator=args.evaluator)
     state = camp.run_campaign(state, args.iters)

@@ -126,12 +126,6 @@ def _factor(K: np.ndarray, y: np.ndarray,
     return L, alpha, lml
 
 
-def _lengthscales(log_params: np.ndarray, d: int, isotropic: bool) -> np.ndarray:
-    if isotropic:
-        return np.full(d, np.exp(log_params[0]))
-    return np.exp(log_params[:-1])
-
-
 def log_marginal_likelihood(X: np.ndarray, y: np.ndarray,
                             lengthscales: np.ndarray, signal_variance: float,
                             noise_std: float = NOISE_STD) -> float:
@@ -141,14 +135,13 @@ def log_marginal_likelihood(X: np.ndarray, y: np.ndarray,
 
 
 def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
-                 isotropic: bool = False,
                  noise_std: float = NOISE_STD) -> tuple[float, np.ndarray]:
     """LML and its gradient w.r.t. log-lengthscales and log-signal-variance.
 
-    log_params = (log l_1..log l_d, log s2), or (log l, log s2) if isotropic.
+    log_params = (log l_1..log l_d, log s2).
     """
-    n, d = X.shape
-    ls = _lengthscales(log_params, d, isotropic)
+    n = X.shape[0]
+    ls = np.exp(log_params[:-1])
     s2 = np.exp(log_params[-1])
 
     K, dK = matern52_cross_grad(X, X, ls, s2)
@@ -158,15 +151,11 @@ def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
     M = np.outer(alpha, alpha) - Kn_inv
     grad_ls = 0.5 * np.einsum("ij,kij->k", M, dK)
     grad_s2 = 0.5 * np.sum(M * K)           # dK/d log s2 = K
-    if isotropic:
-        grad = np.array([np.sum(grad_ls), grad_s2])
-    else:
-        grad = np.append(grad_ls, grad_s2)
-    return lml, grad
+    return lml, np.append(grad_ls, grad_s2)
 
 
-def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str, seed: int,
-        isotropic: bool = False, n_restarts: int = _N_RESTARTS) -> GpModel:
+def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
+        seed: int) -> GpModel:
     """Fit a GP to unit-cube inputs and raw-unit targets.
 
     Standardizes targets per channel rule, then maximizes the log marginal
@@ -190,24 +179,23 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str, seed: int,
     spec = standardization_for(y_raw, channel)
     y = (y_raw - spec.center) / spec.scale
 
-    n_ls = 1 if isotropic else d
-    lb = np.append(np.full(n_ls, np.log(_LS_BOUNDS[0])), np.log(_SV_BOUNDS[0]))
-    ub = np.append(np.full(n_ls, np.log(_LS_BOUNDS[1])), np.log(_SV_BOUNDS[1]))
+    lb = np.append(np.full(d, np.log(_LS_BOUNDS[0])), np.log(_SV_BOUNDS[0]))
+    ub = np.append(np.full(d, np.log(_LS_BOUNDS[1])), np.log(_SV_BOUNDS[1]))
     rng = np.random.default_rng(seed)
 
     def objective(p):
         try:
-            lml, grad = lml_and_grad(X, y, p, isotropic=isotropic)
+            lml, grad = lml_and_grad(X, y, p)
         except NumericError:
             return np.inf, np.zeros_like(p)
         return -lml, -grad
 
     best_lml, best_p = -np.inf, None
-    for r in range(n_restarts):
+    for r in range(_N_RESTARTS):
         if r == 0:
-            p0 = np.append(np.full(n_ls, np.log(0.5)), 0.0)
+            p0 = np.append(np.full(d, np.log(0.5)), 0.0)
         else:
-            p0 = np.append(rng.uniform(np.log(1e-2), np.log(1e1), size=n_ls), 0.0)
+            p0 = np.append(rng.uniform(np.log(1e-2), np.log(1e1), size=d), 0.0)
         res = minimize(objective, p0, jac=True, method="L-BFGS-B",
                        bounds=list(zip(lb, ub)))
         lml = -res.fun
@@ -216,7 +204,7 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str, seed: int,
     if best_p is None:
         raise NumericError("all hyperparameter restarts failed")
 
-    hyper = GpHyperparameters(lengthscales=_lengthscales(best_p, d, isotropic),
+    hyper = GpHyperparameters(lengthscales=np.exp(best_p[:-1]),
                               signal_variance=float(np.exp(best_p[-1])))
     return model_from_hyper(X, y_raw, channel, hyper)
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from .acquisition import AcquisitionConfig, q_feasibility_mc, qcei_mc, ucb
-from .gp import GpModel, destandardize_arrays, posterior
+from .acquisition import AcquisitionConfig, q_feasibility_mc, qcei_mc
+# campaign_bench/tracer.py wraps optim.posterior, so the name stays importable
+from .gp import GpModel, posterior  # noqa: F401
 
 _STEP_INIT = 0.25
 _STEP_MIN = 1e-4
@@ -67,22 +68,15 @@ def propose_batch(model_k: GpModel, model_v: GpModel, config: AcquisitionConfig,
                   incumbent_value: float | None = None) -> np.ndarray:
     """Maximize the batch acquisition; returns a (q, d) unit-cube array.
 
-    With kind "cei" and a feasible incumbent, maximizes the MC batch
-    constrained EI; without an incumbent, maximizes the probability that any
-    batch point is feasible. With kind "ucb", maximizes the batch sum of
-    mean + beta*std of the objective posterior.
+    With a feasible incumbent, maximizes the MC batch constrained EI;
+    without one, maximizes the probability that any batch point is feasible.
     """
     q, d = config.batch_size, model_k.train_inputs.shape[1]
     rng = np.random.default_rng(seed)
     base_k = rng.standard_normal((config.mc_samples, q))
     base_v = rng.standard_normal((config.mc_samples, q))
 
-    if config.kind == "ucb":
-        def objective(flat):
-            mean, std = posterior(model_k, flat.reshape(q, d))
-            mean, std = destandardize_arrays(model_k, mean, std)
-            return float(np.sum(mean + config.ucb_beta * std))
-    elif incumbent_value is None:
+    if incumbent_value is None:
         def objective(flat):
             return q_feasibility_mc(model_v, flat.reshape(q, d),
                                     config.constraint_threshold,

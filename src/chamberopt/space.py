@@ -89,12 +89,16 @@ class ParameterSpace:
 
     @classmethod
     def from_config(cls, records) -> "ParameterSpace":
+        dims = []
         for i, r in enumerate(records):
             if not isinstance(r, dict) or not {"name", "lower", "upper"} <= r.keys():
                 raise ValueError(f"space[{i}]: a dimension record needs 'name', "
                                  f"'lower' and 'upper', got {r!r}")
-        return cls(tuple(Dimension(r["name"], float(r["lower"]), float(r["upper"]))
-                         for r in records))
+            try:
+                dims.append(Dimension(r["name"], float(r["lower"]), float(r["upper"])))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"space[{i}]: bounds must be numbers, got {r!r}") from e
+        return cls(tuple(dims))
 
 
 def latin_hypercube(space: ParameterSpace, n: int, seed: int,

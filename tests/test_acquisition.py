@@ -4,7 +4,7 @@ import pytest
 from chamberopt.acquisition import (AcquisitionConfig, constrained_ei,
                                     expected_improvement, incumbent,
                                     probability_feasible, q_feasibility_mc,
-                                    qcei_mc, ucb)
+                                    qcei_mc)
 from chamberopt.errors import InvalidStateError
 from chamberopt.evaluators import Dataset, Observation
 from chamberopt.gp import (GpHyperparameters, PosteriorGaussian, destandardize,
@@ -89,12 +89,6 @@ def test_ei_monotonic_in_mean_and_std():
     for m in mus[mus <= 0]:
         vals = [expected_improvement(_g(m, s), 0.0) for s in stds]
         assert np.all(np.diff(vals) >= -1e-12)
-
-
-def test_ucb():
-    assert ucb(_g(1.0, 2.0), 0.0) == 1.0
-    assert ucb(_g(1.0, 0.0), 7.0) == 1.0
-    assert ucb(_g(1.0, 2.0), 1.5) == 4.0
 
 
 # ------------------------------------------------------------ incumbent
@@ -260,8 +254,6 @@ def test_q_feasibility_mc_bounds():
 
 
 def test_acquisition_config_validation():
-    with pytest.raises(ValueError):
-        AcquisitionConfig(kind="nope")
     with pytest.raises(ValueError):
         AcquisitionConfig(mc_samples=0)
     with pytest.raises(ValueError):

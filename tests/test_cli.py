@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from chamberopt.campaign import load_state
+from chamberopt.campaign import STATE_VERSION, load_state
 from chamberopt.cli import (EXIT_IO, EXIT_OK, EXIT_PROTOCOL, EXIT_STATE,
                             EXIT_USAGE, main)
 from chamberopt.evaluators import proxy_prechamber, read_proposals
@@ -54,7 +54,8 @@ def test_slices_written(tmp_path, capsys):
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
-    assert main(["run", "--dir", str(tmp_path), "--bogus"]) == EXIT_USAGE
+    for flags in (["--bogus"], ["--acquisition", "ucb"]):
+        assert main(["run", "--dir", str(tmp_path)] + flags) == EXIT_USAGE
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -146,11 +147,6 @@ def test_env_var_campaign_dir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "state.json").exists()
 
 
-def test_ucb_acquisition_runs(tmp_path, capsys):
-    assert main(_run_args(tmp_path, ["--acquisition", "ucb",
-                                     "--ucb-beta", "1.0"])) == EXIT_OK
-
-
 def _doe_ingested(tmp_path):
     """External campaign directory with its DOE results ingested."""
     d = tmp_path / "camp"
@@ -179,7 +175,23 @@ def _nan_k(doc):
     doc["dataset"][2]["k"] = float("nan")
 
 
-@pytest.mark.parametrize("corrupt", [_out_of_bounds, _duplicate_row, _nan_k])
+def _as_old_version(version, kind="cei"):
+    """Edit a current state file into the given older version's layout."""
+    def edit(doc):
+        assert doc["version"] == 3 and "kind" not in doc["acq"]
+        doc["version"] = version
+        doc["acq"] = {"kind": kind, **doc["acq"], "ucb_beta": 2.0}
+        if version == 1:
+            doc.update(kernel_nu=2.5, sampler="sobol-scrambled")
+    return edit
+
+
+def _removed_ucb_kind(doc):
+    _as_old_version(2, kind="ucb")(doc)
+
+
+@pytest.mark.parametrize("corrupt", [_out_of_bounds, _duplicate_row, _nan_k,
+                                     _removed_ucb_kind])
 def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     d = _doe_ingested(tmp_path)
     before = _edit_state(d, corrupt)
@@ -214,6 +226,22 @@ def _top_level_list(cfg):
     return [cfg]
 
 
+def _unknown_evaluator(cfg):
+    cfg["evaluator"] = "bogus"
+
+
+def _null_lower(cfg):
+    cfg["space"][1]["lower"] = None
+
+
+def _list_lower(cfg):
+    cfg["space"][1]["lower"] = [0]
+
+
+def _acq_kind(cfg):
+    cfg["acq"]["kind"] = "cei"
+
+
 @pytest.mark.parametrize("edit, field", [
     (_no_space, "space"),
     (_unknown_acq_key, "acq"),
@@ -221,6 +249,10 @@ def _top_level_list(cfg):
     (_dimension_without_upper, "upper"),
     (_string_doe_size, "doe_n"),
     (_top_level_list, "JSON object"),
+    (_unknown_evaluator, "evaluator"),
+    (_null_lower, "space[1]"),
+    (_list_lower, "space[1]"),
+    (_acq_kind, "kind"),
 ])
 def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
     path = _config(tmp_path)
@@ -234,27 +266,25 @@ def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
     assert not (d / "state.json").exists()
 
 
-def test_version_1_state_resumes_like_version_2(tmp_path, capsys):
-    v2 = _doe_ingested(tmp_path)
-    v1 = tmp_path / "camp_v1"
-    shutil.copytree(v2, v1)
-
-    def as_version_1(doc):
-        assert doc["version"] == 2 and "kernel_nu" not in doc
-        doc.update(version=1, kernel_nu=2.5, sampler="sobol-scrambled")
-
-    _edit_state(v1, as_version_1)
-    assert len(load_state(v1 / "state.json").dataset) == 4
-    for d in (v1, v2):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_state_version_resumes_like_current(tmp_path, capsys, version):
+    current = _doe_ingested(tmp_path)
+    old = tmp_path / "camp_old"
+    shutil.copytree(current, old)
+    _edit_state(old, _as_old_version(version))
+    assert len(load_state(old / "state.json").dataset) == 4
+    for d in (old, current):
         assert main(["propose", "--dir", str(d)]) == EXIT_OK
-    assert ((v1 / "proposals_iter1.csv").read_bytes()
-            == (v2 / "proposals_iter1.csv").read_bytes())
-    assert json.loads((v1 / "state.json").read_text())["version"] == 2
+    assert ((old / "proposals_iter1.csv").read_bytes()
+            == (current / "proposals_iter1.csv").read_bytes())
+    doc = json.loads((old / "state.json").read_text())
+    assert doc["version"] == STATE_VERSION and "kind" not in doc["acq"]
 
 
 def test_unknown_state_version_is_io_error(tmp_path, capsys):
     d = _doe_ingested(tmp_path)
-    before = _edit_state(d, lambda doc: doc.update(version=3))
+    bad = STATE_VERSION + 1
+    before = _edit_state(d, lambda doc: doc.update(version=bad))
     assert main(["report", "--dir", str(d)]) == EXIT_IO
-    assert "version 3" in capsys.readouterr().err
+    assert f"version {bad}" in capsys.readouterr().err
     assert (d / "state.json").read_bytes() == before

@@ -155,13 +155,6 @@ def test_fit_factorization_residual():
     assert resid < 1e-8
 
 
-def test_isotropic_fit_shares_lengthscale():
-    rng = np.random.default_rng(7)
-    X, y = _random_dataset(rng, 12, 3)
-    m = fit(X, y, "objective", seed=0, isotropic=True)
-    assert np.all(m.hyper.lengthscales == m.hyper.lengthscales[0])
-
-
 # ------------------------------------------------------------ LML gradient
 
 
