@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import InvalidStateError
 from .gp import GpModel, PosteriorGaussian, joint_posterior_samples
@@ -30,6 +30,12 @@ class AcquisitionConfig:
             raise ValueError("constraint threshold must be finite")
 
 
+def _norm_pdf(z: float) -> float:
+    # z * z, not z**2: the power of a scalar rounds differently from the
+    # array square, and this form matches scipy.stats.norm.pdf bit for bit
+    return np.exp(-z * z / 2.0) / np.sqrt(2 * np.pi)
+
+
 @dataclass(frozen=True)
 class Incumbent:
     index: int
@@ -41,14 +47,14 @@ def expected_improvement(g: PosteriorGaussian, best: float) -> float:
     if g.std == 0.0:
         return max(0.0, g.mean - best)
     z = (g.mean - best) / g.std
-    return float((g.mean - best) * norm.cdf(z) + g.std * norm.pdf(z))
+    return float((g.mean - best) * ndtr(z) + g.std * _norm_pdf(z))
 
 
 def probability_feasible(g: PosteriorGaussian, threshold: float) -> float:
     """P(constraint <= threshold) under the raw-unit constraint posterior."""
     if g.std == 0.0:
         return 1.0 if g.mean <= threshold else 0.0
-    return float(norm.cdf((threshold - g.mean) / g.std))
+    return float(ndtr((threshold - g.mean) / g.std))
 
 
 def constrained_ei(gk: PosteriorGaussian, gv: PosteriorGaussian,

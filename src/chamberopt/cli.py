@@ -109,7 +109,9 @@ def _cmd_init(args):
                          "of dimension records")
     for key, kind in (("doe_n", int), ("seed", int), ("evaluator", str),
                       ("lhs_midpoint", bool)):
-        if key in cfg and not isinstance(cfg[key], kind):
+        # JSON true/false load as bool, which Python counts as an int
+        if key in cfg and (not isinstance(cfg[key], kind)
+                           or kind is int and isinstance(cfg[key], bool)):
             raise ValueError(f"config field {key!r} must be of type {kind.__name__}")
     space = ParameterSpace.from_config(cfg["space"])
     acq = _config_section(cfg, "acq", AcquisitionConfig)

@@ -1,21 +1,21 @@
 """Inner-loop maximization of the acquisition surface over the unit cube.
 
-Derivative-free: scrambled-Sobol raw scoring followed by pattern-search
-refinement of the best starts, jointly over all q*d batch coordinates. Fixed
-Monte Carlo base draws make the surface deterministic within one run.
+Derivative-free: raw scoring of a scrambled Sobol design (from ``space``,
+next to the Latin hypercube) followed by pattern-search refinement of the
+best starts, jointly over all q*d batch coordinates. Fixed Monte Carlo base
+draws make the surface deterministic within one run.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .acquisition import AcquisitionConfig, q_feasibility_mc, qcei_mc
 # campaign_bench/tracer.py wraps optim.posterior, so the name stays importable
 from .gp import GpModel, posterior  # noqa: F401
+from .space import scrambled_sobol
 
 _STEP_INIT = 0.25
 _STEP_MIN = 1e-4
@@ -87,10 +87,7 @@ def propose_batch(model_k: GpModel, model_v: GpModel, config: AcquisitionConfig,
                            incumbent_value, config.constraint_threshold,
                            config.mc_samples, base_k=base_k, base_v=base_v)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)   # Sobol balance warning
-        sob = qmc.Sobol(d=q * d, scramble=True, seed=rng)
-        raw = sob.random(budget.raw_samples)
+    raw = scrambled_sobol(budget.raw_samples, q * d, rng)
     scores = np.array([objective(x) for x in raw])
     order = np.argsort(-scores, kind="stable")[:budget.restarts]
 

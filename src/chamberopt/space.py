@@ -1,4 +1,5 @@
-"""Design space definition, unit-cube scaling, and Latin hypercube sampling.
+"""Design space definition, unit-cube scaling, and the two space-filling
+designs: Latin hypercube and scrambled Sobol.
 
 All optimization-facing code works on the closed unit cube [0, 1]^d; physical
 coordinates appear only at the evaluator boundary and in reports.
@@ -6,7 +7,9 @@ coordinates appear only at the evaluator boundary and in reports.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -120,6 +123,69 @@ def latin_hypercube(space: ParameterSpace, n: int, seed: int,
         offset = 0.5 if midpoint else rng.uniform(size=n)
         u[:, j] = (perm + offset) / n
     return u
+
+
+_SOBOL_BITS = 30
+_SOBOL_MAXDIM = 21201   # rows of the Joe-Kuo direction-number table
+
+
+def _sobol_direction_numbers(dim: int) -> np.ndarray:
+    """(dim, bits) Sobol direction numbers, column j scaled by 2**(bits-1-j).
+
+    Joe & Kuo (2008) primitive polynomials and initial numbers, read from the
+    table that ships inside scipy (located without importing scipy.stats),
+    extended by the Bratley & Fox (1988) recurrence.
+    """
+    root = Path(importlib.util.find_spec("scipy").origin).parent
+    with np.load(root / "stats" / "_sobol_direction_numbers.npz") as table:
+        poly = table["poly"][:dim].tolist()
+        vinit = table["vinit"][:dim].tolist()
+    rows = [[1] * _SOBOL_BITS]
+    for p, init in zip(poly[1:], vinit[1:]):
+        m = p.bit_length() - 1
+        v = init[:m]
+        for j in range(m, _SOBOL_BITS):
+            new = v[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append(v)
+    return np.array(rows, dtype=np.int64) << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
+def scrambled_sobol(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """First n points of a scrambled Sobol sequence in [0, 1)^dim.
+
+    Reproduces ``scipy.stats.qmc.Sobol(d=dim, scramble=True, seed=rng)
+    .random(n)`` bit for bit: 30-bit Joe-Kuo direction numbers, a left linear
+    matrix scramble (lower triangular, unit diagonal) plus a digital shift,
+    both drawn from ``rng.spawn(1)[0]`` in scipy's order, and Gray-code
+    order. The caller's generator ends in the same state as with scipy. Being
+    in-house, the design no longer follows whichever scipy version is
+    installed: proposals depend on this one algorithm.
+    """
+    if n < 1:
+        raise ValueError("Sobol sample count must be >= 1")
+    if not 1 <= dim <= _SOBOL_MAXDIM:
+        raise ValueError(f"Sobol dimension must be in [1, {_SOBOL_MAXDIM}], got {dim}")
+    child = rng.spawn(1)[0]
+    shift = np.dot(child.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32),
+                   2 ** np.arange(_SOBOL_BITS, dtype=np.uint32))
+    ltm = np.tril(child.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS),
+                                 dtype=np.uint32)).astype(np.int64)
+    diag = np.arange(_SOBOL_BITS)
+    ltm[:, diag, diag] = 1
+    # scrambled column j, bit p (most significant first) is the parity of
+    # row p of the matrix against the bits of direction number j
+    msb_first = diag[::-1]
+    v_bits = (_sobol_direction_numbers(dim)[:, :, None] >> msb_first) & 1
+    sv = (((v_bits @ ltm.transpose(0, 2, 1)) & 1) << msb_first).sum(axis=2)
+    # point i+1 = point i XOR the direction column of the lowest zero bit of i
+    i = np.arange(n - 1)
+    col = np.log2(~i & (i + 1)).astype(np.intp)
+    steps = np.vstack([shift.astype(np.int64)[None, :], sv[:, col].T])
+    return np.bitwise_xor.accumulate(steps, axis=0) * (1.0 / 2 ** _SOBOL_BITS)
 
 
 # design ranges of the built-in prechamber use case

@@ -80,6 +80,18 @@ def test_cei_is_exactly_the_product():
             probability_feasible(gv, thr) * expected_improvement(gk, best))
 
 
+def test_closed_forms_match_scipy_norm_exactly():
+    from scipy.stats import norm
+    for mean in (-40.0, -3.7, -1e-9, 0.0, 0.3, 2.5, 24.9, 25.0, 31.0):
+        for std in (1e-12, 1e-3, 0.07, 1.0, 2.9, 1e3):
+            for ref in (-2.0, 0.0, 0.45, 25.0):
+                z = (mean - ref) / std
+                assert expected_improvement(_g(mean, std), ref) == float(
+                    (mean - ref) * norm.cdf(z) + std * norm.pdf(z))
+                assert probability_feasible(_g(mean, std), ref) == float(
+                    norm.cdf((ref - mean) / std))
+
+
 def test_ei_monotonic_in_mean_and_std():
     mus = np.linspace(-3, 3, 100)
     stds = np.linspace(1e-6, 3, 100)

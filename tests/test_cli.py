@@ -2,9 +2,12 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import chamberopt
 from chamberopt.campaign import STATE_VERSION, load_state
 from chamberopt.cli import (EXIT_IO, EXIT_OK, EXIT_PROTOCOL, EXIT_STATE,
                             EXIT_USAGE, main)
@@ -222,6 +225,14 @@ def _string_doe_size(cfg):
     cfg["doe_n"] = "4"
 
 
+def _boolean_doe_size(cfg):
+    cfg["doe_n"] = True
+
+
+def _boolean_seed(cfg):
+    cfg["seed"] = True
+
+
 def _top_level_list(cfg):
     return [cfg]
 
@@ -248,6 +259,8 @@ def _acq_kind(cfg):
     (_unknown_budget_key, "budget"),
     (_dimension_without_upper, "upper"),
     (_string_doe_size, "doe_n"),
+    (_boolean_doe_size, "doe_n"),
+    (_boolean_seed, "seed"),
     (_top_level_list, "JSON object"),
     (_unknown_evaluator, "evaluator"),
     (_null_lower, "space[1]"),
@@ -288,3 +301,13 @@ def test_unknown_state_version_is_io_error(tmp_path, capsys):
     assert main(["report", "--dir", str(d)]) == EXIT_IO
     assert f"version {bad}" in capsys.readouterr().err
     assert (d / "state.json").read_bytes() == before
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # every CLI call is a fresh process; scipy.stats alone costs ~0.45 s there
+    src = os.path.dirname(os.path.dirname(chamberopt.__file__))
+    code = ("import sys, chamberopt, chamberopt.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from chamberopt.errors import BoundsViolationError
 from chamberopt.space import (PRECHAMBER_SPACE, Dimension, ParameterSpace,
-                              latin_hypercube)
+                              latin_hypercube, scrambled_sobol)
 
 
 def test_lower_corner_maps_to_zero():
@@ -100,6 +100,32 @@ def test_lhs_midpoint_placement():
 def test_lhs_rejects_zero_count():
     with pytest.raises(ValueError):
         latin_hypercube(PRECHAMBER_SPACE, 0, 0)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize("dim", [1, 15, 47])
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_scrambled_sobol_matches_scipy_bit_for_bit(dim, n):
+    from scipy.stats import qmc
+    for seed in (0, 3, 2**40 + 11):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = scrambled_sobol(n, dim, ours)
+        ref = qmc.Sobol(d=dim, scramble=True, seed=theirs).random(n)
+        assert u.dtype == ref.dtype and u.shape == (n, dim)
+        np.testing.assert_array_equal(u, ref)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.integers(2**62) == theirs.integers(2**62)
+
+
+def test_scrambled_sobol_rejects_dim_beyond_table():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="21201"):
+        scrambled_sobol(4, 21202, rng)
+    assert rng.bit_generator.state == before
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    with pytest.raises(ValueError):
+        scrambled_sobol(0, 3, rng)
 
 
 def test_space_config_round_trip():
