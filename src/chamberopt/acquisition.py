@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidStateError
 from .gp import GpModel, PosteriorGaussian, joint_posterior_samples
@@ -24,6 +23,11 @@ class AcquisitionConfig:
     batch_size: int = 5
 
     def __post_init__(self):
+        for name in ("mc_samples", "batch_size"):
+            value = getattr(self, name)
+            # JSON true/false load as bool, which Python counts as an int
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mc_samples < 1 or self.batch_size < 1:
             raise ValueError("mc_samples and batch_size must be >= 1")
         if not np.isfinite(self.constraint_threshold):
@@ -42,8 +46,13 @@ class Incumbent:
     k_best: float
 
 
+# The closed forms import scipy.special where they are called: no campaign,
+# optimizer or command-line path calls them, and a scipy subpackage import
+# costs each command-line process ~0.3 s.
+
 def expected_improvement(g: PosteriorGaussian, best: float) -> float:
     """Closed-form EI for maximization; zero-std degenerates to max(0, mu-best)."""
+    from scipy.special import ndtr
     if g.std == 0.0:
         return max(0.0, g.mean - best)
     z = (g.mean - best) / g.std
@@ -52,6 +61,7 @@ def expected_improvement(g: PosteriorGaussian, best: float) -> float:
 
 def probability_feasible(g: PosteriorGaussian, threshold: float) -> float:
     """P(constraint <= threshold) under the raw-unit constraint posterior."""
+    from scipy.special import ndtr
     if g.std == 0.0:
         return 1.0 if g.mean <= threshold else 0.0
     return float(ndtr((threshold - g.mean) / g.std))

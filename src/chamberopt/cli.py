@@ -113,6 +113,8 @@ def _cmd_init(args):
         if key in cfg and (not isinstance(cfg[key], kind)
                            or kind is int and isinstance(cfg[key], bool)):
             raise ValueError(f"config field {key!r} must be of type {kind.__name__}")
+    if cfg.get("seed", 0) < 0:
+        raise ValueError("config field 'seed' must be a non-negative integer")
     space = ParameterSpace.from_config(cfg["space"])
     acq = _config_section(cfg, "acq", AcquisitionConfig)
     budget = _config_section(cfg, "budget", OptimizerBudget)

@@ -2,7 +2,14 @@
 
 One GP per output channel (objective k, constraint |v|), Matern-5/2 ARD
 kernel, fixed observation noise in standardized output space, hyperparameters
-fitted by multi-start L-BFGS on the log marginal likelihood.
+fitted by a multi-start, box-constrained quasi-Newton search on the log
+marginal likelihood.
+
+numpy is the only numeric dependency here: each ``scipy`` subpackage import
+costs a command-line process (every ask-tell step is one) a few tenths of a
+second and tens of MB. A model keeps the inverse of its Cholesky factor, so
+posterior queries are matrix products, and ``_minimize_box`` takes the place
+of scipy's L-BFGS-B with the same stopping rules.
 """
 
 from __future__ import annotations
@@ -10,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.optimize import minimize
 
 from .errors import DegenerateDataError, NumericError
 from .kernels import matern52_cross, matern52_cross_grad
@@ -24,6 +29,16 @@ _N_RESTARTS = 8
 
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
+
+# stopping rules and budget of scipy's L-BFGS-B defaults (pgtol, factr,
+# maxfun), and the sufficient-decrease and curvature constants of its
+# line search
+_PGTOL = 1e-5
+_FTOL = 1e7 * np.finfo(float).eps
+_MAX_EVALS = 15000
+_WOLFE_C1 = 1e-3
+_WOLFE_C2 = 0.9
+_MAX_TRIALS = 20            # function values per line search
 
 
 @dataclass(frozen=True)
@@ -55,7 +70,7 @@ class GpModel:
     standardize: StandardizationSpec
     train_inputs: np.ndarray        # (n, d) unit-cube points
     train_targets: np.ndarray       # (n,) standardized
-    chol: np.ndarray                # lower factor of K + noise^2 I (+ jitter)
+    chol_inv: np.ndarray            # inverse lower factor of K + noise^2 I (+ jitter)
     alpha: np.ndarray               # (K + noise^2 I)^-1 y
     channel: str = "objective"
 
@@ -86,14 +101,15 @@ def matern_kernel(a: np.ndarray, b: np.ndarray, hyper: GpHyperparameters) -> flo
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K, escalating diagonal jitter on failure."""
+    # numpy factors a NaN matrix into an all-NaN factor instead of raising
+    if not np.isfinite(K).all():
+        raise NumericError("non-finite covariance matrix")
     jitter = 0.0
     while True:
         try:
-            L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
+            L = np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
             return L, jitter
         except np.linalg.LinAlgError:
-            pass
-        except ValueError:
             pass
         jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
         if jitter > _JITTER_MAX:
@@ -114,16 +130,37 @@ def standardization_for(raw_targets: np.ndarray, channel: str) -> Standardizatio
     raise ValueError(f"unknown channel {channel!r}")
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion.
+
+    inv([[A, 0], [C, D]]) = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]. At n = 150-180
+    this is about 3x faster than ``np.linalg.inv``, whose LU ignores the
+    triangle, and as fast as a LAPACK triangular solve against I.
+    """
+    n = L.shape[0]
+    if n <= 32:
+        return np.linalg.inv(L)
+    h = n // 2
+    A_inv, D_inv = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = A_inv
+    out[h:, h:] = D_inv
+    out[h:, :h] = -(D_inv @ L[h:, :h]) @ A_inv
+    return out
+
+
 def _factor(K: np.ndarray, y: np.ndarray,
             noise_std: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lower Cholesky factor L of K + noise^2 I, alpha = (K + noise^2 I)^-1 y
-    and the log marginal likelihood, all from the one factor (GPML Alg. 2.1)."""
+    """Inverse L^-1 of the lower Cholesky factor of K + noise^2 I,
+    alpha = (K + noise^2 I)^-1 y and the log marginal likelihood, all from
+    the one factor (GPML Alg. 2.1)."""
     n = K.shape[0]
     L, _ = _chol_with_jitter(K + noise_std**2 * np.eye(n))
-    alpha = cho_solve((L, True), y)
+    L_inv = _lower_inverse(L)
+    alpha = L_inv.T @ (L_inv @ y)
     lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L)))
                 - 0.5 * n * np.log(2.0 * np.pi))
-    return L, alpha, lml
+    return L_inv, alpha, lml
 
 
 def log_marginal_likelihood(X: np.ndarray, y: np.ndarray,
@@ -140,18 +177,151 @@ def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
 
     log_params = (log l_1..log l_d, log s2).
     """
-    n = X.shape[0]
     ls = np.exp(log_params[:-1])
     s2 = np.exp(log_params[-1])
 
     K, dK = matern52_cross_grad(X, X, ls, s2)
-    L, alpha, lml = _factor(K, y, noise_std)
+    L_inv, alpha, lml = _factor(K, y, noise_std)
 
-    Kn_inv = cho_solve((L, True), np.eye(n))
+    Kn_inv = L_inv.T @ L_inv
     M = np.outer(alpha, alpha) - Kn_inv
     grad_ls = 0.5 * np.einsum("ij,kij->k", M, dK)
     grad_s2 = 0.5 * np.sum(M * K)           # dK/d log s2 = K
     return lml, np.append(grad_ls, grad_s2)
+
+
+def _cubic_step(lo, hi) -> float:
+    """Minimizer of the cubic through two trial points (a, f, slope), kept
+    a tenth of the bracket away from either end; bisection when the cubic
+    has no minimizer or a value is not finite."""
+    (a0, f0, s0), (a1, f1, s1) = lo[:3], hi[:3]
+    left, right = min(a0, a1), max(a0, a1)
+    margin = 0.1 * (right - left)
+    if np.isfinite(f1) and np.isfinite(s1):
+        d1 = s0 + s1 - 3.0 * (f0 - f1) / (a0 - a1)
+        rad = d1 * d1 - s0 * s1
+        if rad >= 0.0:
+            d2 = np.copysign(np.sqrt(rad), a1 - a0)
+            denom = s1 - s0 + 2.0 * d2
+            if denom != 0.0:
+                a = a1 - (a1 - a0) * (s1 + d2 - d1) / denom
+                return min(max(a, left + margin), right - margin)
+    return 0.5 * (a0 + a1)
+
+
+def _wolfe_step(phi, f0: float, slope0: float, a: float, a_max: float):
+    """A step length a in (0, a_max] meeting the strong Wolfe conditions.
+
+    ``phi(a)`` returns (f, slope, point) on the search ray. Bracketing with
+    fourfold extrapolation up to a_max, then safeguarded cubic interpolation
+    inside the bracket (Nocedal & Wright, Alg. 3.5-3.6; the conditions of
+    More & Thuente 1994). A non-finite f counts as a failed trial point. At
+    a_max, sufficient decrease alone is accepted: the bound stops the step.
+    Returns the accepted point, the best point with sufficient decrease
+    when the trials run out, or None when no trial decreased f enough.
+    """
+    lo = (0.0, f0, slope0, None)    # best trial with sufficient decrease
+    hi = None                       # other end of the bracket, once found
+    for _ in range(_MAX_TRIALS):
+        if hi is not None:
+            if abs(hi[0] - lo[0]) <= 1e-10 * max(hi[0], lo[0]):
+                break
+            a = _cubic_step(lo, hi)
+        f, slope, point = phi(a)
+        trial = (a, f, slope, point)
+        if np.isfinite(f) and abs(f - f0) <= _FTOL * max(abs(f0), abs(f), 1.0):
+            return point            # a change below the stopping tolerance
+        if not (np.isfinite(f) and f <= f0 + _WOLFE_C1 * a * slope0 and f < lo[1]):
+            hi = trial
+        elif abs(slope) <= -_WOLFE_C2 * slope0:
+            return point
+        elif hi is None:
+            if slope >= 0.0:
+                lo, hi = trial, lo
+            elif a >= a_max:
+                return point
+            else:
+                lo = trial
+                a = min(4.0 * a, a_max)
+        else:
+            if slope * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = trial
+    return lo[3]
+
+
+def _minimize_box(fun, x0: np.ndarray, lb: np.ndarray,
+                  ub: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize ``fun(x) -> (f, grad)`` over the box lb <= x <= ub.
+
+    Projected quasi-Newton: a variable on a bound whose gradient points out
+    of the box is held there; the free ones take a BFGS step (dense inverse
+    Hessian over the free variables), searched by ``_wolfe_step`` up to
+    where the first free variable meets its bound. Whenever the free set
+    changes, the inverse Hessian restarts from the identity times the
+    latest curvature scale s'y / y'y. If the step would push a free
+    variable on a bound out of the box, a scaled steepest-descent step
+    replaces it. Stops by L-BFGS-B's default rules: projected-gradient
+    inf-norm <= 1e-5, relative reduction of f <= 1e7 * eps, or no decrease
+    along steepest descent. Returns (x, f); a non-finite f at the start
+    returns at once.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    f, g = fun(x)
+    evals = 1
+    free = H = scale = None         # scale: s'y / y'y of the last update
+    while np.isfinite(f) and evals < _MAX_EVALS:
+        if np.max(np.abs(np.clip(x - g, lb, ub) - x)) <= _PGTOL:
+            break
+        now_free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
+        if free is None or np.any(now_free != free):
+            free = now_free
+            H = np.eye(np.count_nonzero(free)) * (scale or 1.0)
+        d = np.zeros_like(x)
+        d[free] = -H @ g[free]
+        if np.any((x <= lb) & (d < 0)) or np.any((x >= ub) & (d > 0)) or g @ d >= 0.0:
+            H = np.eye(np.count_nonzero(free)) * (scale or 1.0)
+            d[free] = -H @ g[free]
+        slope0 = g @ d
+        if slope0 >= 0.0:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(d > 0, (ub - x) / d, np.where(d < 0, (lb - x) / d, np.inf))
+        hit = int(np.argmin(room))
+        a_max = room[hit]
+        edge = ub[hit] if d[hit] > 0 else lb[hit]
+
+        def phi(a):
+            nonlocal evals
+            xa = np.clip(x + a * d, lb, ub)
+            if a >= a_max:
+                xa[hit] = edge      # land exactly on the bound
+            fa, ga = fun(xa)
+            evals += 1
+            return fa, ga @ d, (xa, fa, ga)
+
+        # without curvature yet, a first trial of unit length, as L-BFGS-B
+        a_init = 1.0 if scale else 1.0 / np.linalg.norm(d)
+        step = _wolfe_step(phi, f, slope0, min(a_init, a_max), a_max)
+        if step is None:
+            if scale is None:
+                break
+            free = scale = None     # retry once from the identity
+            continue
+        x_new, f_new, g_new = step
+        reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        if reduction <= _FTOL:
+            return (x_new, f_new) if f_new < f else (x, f)
+        s, y = (x_new - x)[free], (g_new - g)[free]
+        sy = s @ y
+        if sy > np.finfo(float).eps * (y @ y):
+            if scale is None:
+                H = np.eye(s.size) * (sy / (y @ y))
+            scale = sy / (y @ y)
+            V = np.eye(s.size) - np.outer(s, y) / sy
+            H = V @ H @ V.T + np.outer(s, s) / sy
+        x, f, g = x_new, f_new, g_new
+    return x, f
 
 
 def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
@@ -159,8 +329,9 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
     """Fit a GP to unit-cube inputs and raw-unit targets.
 
     Standardizes targets per channel rule, then maximizes the log marginal
-    likelihood by multi-start L-BFGS on log-parameters. Deterministic given
-    the seed; restart ties are broken by lowest restart index.
+    likelihood by multi-start ``_minimize_box`` on log-parameters.
+    Deterministic given the seed; restart ties are broken by lowest restart
+    index.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y_raw = np.asarray(raw_targets, dtype=float)
@@ -196,11 +367,10 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
             p0 = np.append(np.full(d, np.log(0.5)), 0.0)
         else:
             p0 = np.append(rng.uniform(np.log(1e-2), np.log(1e1), size=d), 0.0)
-        res = minimize(objective, p0, jac=True, method="L-BFGS-B",
-                       bounds=list(zip(lb, ub)))
-        lml = -res.fun
+        p, f = _minimize_box(objective, p0, lb, ub)
+        lml = -f
         if np.isfinite(lml) and lml > best_lml:
-            best_lml, best_p = lml, res.x
+            best_lml, best_p = lml, p
     if best_p is None:
         raise NumericError("all hyperparameter restarts failed")
 
@@ -216,18 +386,18 @@ def model_from_hyper(inputs, raw_targets, channel, hyper: GpHyperparameters) -> 
     spec = standardization_for(y_raw, channel)
     y = (y_raw - spec.center) / spec.scale
     K = matern52_cross(X, X, hyper.lengthscales, hyper.signal_variance)
-    L, alpha, _ = _factor(K, y, hyper.noise_std)
+    L_inv, alpha, _ = _factor(K, y, hyper.noise_std)
     return GpModel(hyper=hyper, standardize=spec, train_inputs=X,
-                   train_targets=y, chol=L, alpha=alpha, channel=channel)
+                   train_targets=y, chol_inv=L_inv, alpha=alpha, channel=channel)
 
 
 def _cross_solve(model: GpModel, Xq: np.ndarray):
     """Query points as a 2-D array, the posterior mean there (standardized
-    units) and V = L^-1 k_x, the triangular solve against the train factor."""
+    units) and V = L^-1 k_x, with L the lower factor of the train covariance."""
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     Kx = matern52_cross(Xq, model.train_inputs,
                         model.hyper.lengthscales, model.hyper.signal_variance)
-    return Xq, Kx @ model.alpha, solve_triangular(model.chol, Kx.T, lower=True)
+    return Xq, Kx @ model.alpha, model.chol_inv @ Kx.T
 
 
 def posterior(model: GpModel, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

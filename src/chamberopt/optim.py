@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import AcquisitionConfig, q_feasibility_mc, qcei_mc
+from .errors import NumericError
 # campaign_bench/tracer.py wraps optim.posterior, so the name stays importable
 from .gp import GpModel, posterior  # noqa: F401
 from .space import scrambled_sobol
@@ -29,6 +30,11 @@ class OptimizerBudget:
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
+        for name in ("raw_samples", "restarts", "max_iters_per_restart"):
+            value = getattr(self, name)
+            # JSON true/false load as bool, which Python counts as an int
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.raw_samples, self.restarts, self.max_iters_per_restart) < 1:
             raise ValueError("budget counts must be >= 1")
         if self.convergence_tol <= 0:
@@ -77,15 +83,21 @@ def propose_batch(model_k: GpModel, model_v: GpModel, config: AcquisitionConfig,
     base_v = rng.standard_normal((config.mc_samples, q))
 
     if incumbent_value is None:
-        def objective(flat):
-            return q_feasibility_mc(model_v, flat.reshape(q, d),
-                                    config.constraint_threshold,
+        def acquisition(XS):
+            return q_feasibility_mc(model_v, XS, config.constraint_threshold,
                                     config.mc_samples, base_v=base_v)
     else:
-        def objective(flat):
-            return qcei_mc(model_k, model_v, flat.reshape(q, d),
-                           incumbent_value, config.constraint_threshold,
-                           config.mc_samples, base_k=base_k, base_v=base_v)
+        def acquisition(XS):
+            return qcei_mc(model_k, model_v, XS, incumbent_value,
+                           config.constraint_threshold, config.mc_samples,
+                           base_k=base_k, base_v=base_v)
+
+    def objective(flat):
+        # a numeric failure scores this one candidate batch, not the proposal
+        try:
+            return acquisition(flat.reshape(q, d))
+        except NumericError:
+            return -np.inf
 
     raw = scrambled_sobol(budget.raw_samples, q * d, rng)
     scores = np.array([objective(x) for x in raw])

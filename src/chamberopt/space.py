@@ -8,6 +8,7 @@ coordinates appear only at the evaluator boundary and in reports.
 from __future__ import annotations
 
 import importlib.util
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,6 +128,39 @@ def latin_hypercube(space: ParameterSpace, n: int, seed: int,
 
 _SOBOL_BITS = 30
 _SOBOL_MAXDIM = 21201   # rows of the Joe-Kuo direction-number table
+_SKIP_CHUNK = 1 << 16
+
+
+def _leading_rows(f, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the .npy array stored in the open file f.
+
+    Reads those rows alone, skipping the rest in small chunks: the table's
+    ``vinit`` is 3 MB and column-major, and a proposal needs q*d of its
+    21,201 rows.
+    """
+    fmt = np.lib.format
+    version = fmt.read_magic(f)
+    read_header = (fmt.read_array_header_1_0 if version == (1, 0)
+                   else fmt.read_array_header_2_0)
+    shape, fortran_order, dtype = read_header(f)
+
+    def read(nbytes):
+        data = f.read(nbytes)
+        if len(data) != nbytes:
+            raise ValueError("truncated Sobol direction-number table")
+        return data
+
+    if not fortran_order or len(shape) == 1:
+        width = int(np.prod(shape[1:]))
+        data = read(rows * width * dtype.itemsize)
+        return np.frombuffer(data, dtype).reshape((rows,) + shape[1:])
+    columns = []
+    for j in range(shape[1]):
+        columns.append(np.frombuffer(read(rows * dtype.itemsize), dtype))
+        skip = (shape[0] - rows) * dtype.itemsize if j + 1 < shape[1] else 0
+        while skip > 0:
+            skip -= len(read(min(skip, _SKIP_CHUNK)))
+    return np.stack(columns, axis=1)
 
 
 def _sobol_direction_numbers(dim: int) -> np.ndarray:
@@ -137,9 +171,11 @@ def _sobol_direction_numbers(dim: int) -> np.ndarray:
     extended by the Bratley & Fox (1988) recurrence.
     """
     root = Path(importlib.util.find_spec("scipy").origin).parent
-    with np.load(root / "stats" / "_sobol_direction_numbers.npz") as table:
-        poly = table["poly"][:dim].tolist()
-        vinit = table["vinit"][:dim].tolist()
+    with zipfile.ZipFile(root / "stats" / "_sobol_direction_numbers.npz") as table:
+        with table.open("poly.npy") as f:
+            poly = _leading_rows(f, dim).tolist()
+        with table.open("vinit.npy") as f:
+            vinit = _leading_rows(f, dim).tolist()
     rows = [[1] * _SOBOL_BITS]
     for p, init in zip(poly[1:], vinit[1:]):
         m = p.bit_length() - 1

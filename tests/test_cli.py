@@ -233,6 +233,18 @@ def _boolean_seed(cfg):
     cfg["seed"] = True
 
 
+def _negative_seed(cfg):
+    cfg["seed"] = -1
+
+
+def _boolean_mc_samples(cfg):
+    cfg["acq"]["mc_samples"] = True
+
+
+def _boolean_restarts(cfg):
+    cfg["budget"]["restarts"] = True
+
+
 def _top_level_list(cfg):
     return [cfg]
 
@@ -261,6 +273,9 @@ def _acq_kind(cfg):
     (_string_doe_size, "doe_n"),
     (_boolean_doe_size, "doe_n"),
     (_boolean_seed, "seed"),
+    (_negative_seed, "seed"),
+    (_boolean_mc_samples, "mc_samples"),
+    (_boolean_restarts, "restarts"),
     (_top_level_list, "JSON object"),
     (_unknown_evaluator, "evaluator"),
     (_null_lower, "space[1]"),
@@ -303,11 +318,17 @@ def test_unknown_state_version_is_io_error(tmp_path, capsys):
     assert (d / "state.json").read_bytes() == before
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # every CLI call is a fresh process; scipy.stats alone costs ~0.45 s there
+def test_cli_commands_leave_scipy_unloaded(tmp_path):
+    # every CLI call is a fresh process, and any scipy subpackage import
+    # costs it a few tenths of a second and tens of MB
     src = os.path.dirname(os.path.dirname(chamberopt.__file__))
-    code = ("import sys, chamberopt, chamberopt.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    code = ("import sys\n"
+            "from chamberopt.cli import main\n"
+            f"assert main({_run_args(tmp_path)!r}) == 0\n"
+            f"assert main(['report', '--dir', {str(tmp_path)!r}]) == 0\n"
+            f"assert main(['slices', '--dir', {str(tmp_path)!r}, "
+            "'--resolution', '5']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"

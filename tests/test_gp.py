@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from chamberopt.errors import DegenerateDataError
+from chamberopt import gp
+from chamberopt.errors import DegenerateDataError, NumericError
+from chamberopt.evaluators import (QUADRATIC_SPACE, benchmark_quadratic,
+                                  proxy_prechamber)
 from chamberopt.gp import (GpHyperparameters, PosteriorGaussian, destandardize,
                            fit, joint_posterior_mvn, joint_posterior_samples,
                            lml_and_grad, log_marginal_likelihood, matern_kernel,
                            model_from_hyper, posterior, posterior_at,
                            standardization_for)
+from chamberopt.space import PRECHAMBER_SPACE, latin_hypercube
 
 from oracles import (dense_joint_covariance, dense_lml, dense_posterior,
                      kernel_matrix)
@@ -274,3 +278,114 @@ def test_joint_mvn_matches_dense_oracle():
                                     m.hyper.noise_std, xs)
     np.testing.assert_allclose(mean, om, atol=1e-8)
     np.testing.assert_allclose(cov, oc, atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cholesky_rejects_non_finite_matrix(bad):
+    K = np.eye(3)
+    K[1, 2] = K[2, 1] = bad
+    with pytest.raises(NumericError):
+        gp._chol_with_jitter(K)
+
+
+# ------------------------------------------------------------ fit optimizer
+
+
+def test_minimize_box_quadratic_with_two_active_bounds():
+    # convex quadratic whose minimizer over the box has x0 on its upper and
+    # x1 on its lower bound: the gradient there is c, pointing out of the box
+    # in those two coordinates and zero in the others (KKT)
+    rng = np.random.default_rng(16)
+    Q = rng.normal(size=(4, 4))
+    A = Q @ Q.T + 0.5 * np.eye(4)
+    lb, ub = np.full(4, -1.0), np.full(4, 1.0)
+    x_star = np.array([1.0, -1.0, 0.3, -0.6])
+    c = np.array([-2.0, 1.5, 0.0, 0.0])
+    evals = []
+
+    def fun(x):
+        evals.append(x)
+        r = x - x_star
+        return 0.5 * r @ A @ r + c @ r, A @ r + c
+
+    x, f = gp._minimize_box(fun, np.zeros(4), lb, ub)
+    np.testing.assert_allclose(x, x_star, atol=1e-6)
+    assert f == pytest.approx(0.0, abs=1e-10)
+    assert len(evals) <= 20
+
+
+def test_minimize_box_non_finite_start_returns_at_once():
+    evals = []
+
+    def fun(x):
+        evals.append(x)
+        return np.inf, np.zeros_like(x)
+
+    x, f = gp._minimize_box(fun, np.array([0.5, 2.0]), np.zeros(2), np.ones(2))
+    assert not np.isfinite(f) and len(evals) == 1
+    np.testing.assert_array_equal(x, [0.5, 1.0])
+
+
+def _lbfgsb_best_lml(X, y_raw, channel, seed):
+    """Best LML that scipy's L-BFGS-B reaches from the restarts ``fit``
+    draws: the optimizer that ``fit`` used before its in-house one."""
+    from scipy.optimize import minimize
+    spec = standardization_for(y_raw, channel)
+    y = (y_raw - spec.center) / spec.scale
+    d = X.shape[1]
+    bounds = ([np.log(gp._LS_BOUNDS)] * d) + [np.log(gp._SV_BOUNDS)]
+
+    def objective(p):
+        try:
+            lml, grad = lml_and_grad(X, y, p)
+        except NumericError:
+            return np.inf, np.zeros_like(p)
+        return -lml, -grad
+
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for r in range(gp._N_RESTARTS):
+        if r == 0:
+            p0 = np.append(np.full(d, np.log(0.5)), 0.0)
+        else:
+            p0 = np.append(rng.uniform(np.log(1e-2), np.log(1e1), size=d), 0.0)
+        res = minimize(objective, p0, jac=True, method="L-BFGS-B", bounds=bounds)
+        best = max(best, -res.fun)
+    return best
+
+
+def _oracle_datasets():
+    """20 fits: random and smooth targets in 1-3 D with 6-40 points, the
+    proxy objective on a 160-point design (the ask-tell scale), and a 2-D
+    quadratic whose fitted signal variance sits on its upper bound."""
+    out = []
+    for seed in range(18):
+        rng = np.random.default_rng(100 + seed)
+        n, d = 6 + 2 * seed, 1 + seed % 3
+        X = rng.uniform(size=(n, d))
+        if seed % 2:
+            y = np.sin(6.0 * X @ rng.uniform(0.5, 1.5, d)) + 0.1 * rng.normal(size=n)
+        else:
+            y = rng.normal(size=n)
+        out.append((X, y, ("objective", "constraint")[seed % 4 // 2], seed))
+    X = latin_hypercube(PRECHAMBER_SPACE, 160, seed=5)
+    y = np.array([proxy_prechamber(x)[0] for x in PRECHAMBER_SPACE.from_unit(X)])
+    out.append((X, y, "objective", 5))
+    X = latin_hypercube(QUADRATIC_SPACE, 20, seed=1)
+    y = np.array([benchmark_quadratic(x)[0] for x in QUADRATIC_SPACE.from_unit(X)])
+    out.append((X, y, "objective", 1))
+    return out
+
+
+def test_fit_reaches_lbfgsb_likelihood():
+    data = _oracle_datasets()
+    assert len(data) >= 20
+    on_sv_bound = 0
+    for X, y, channel, seed in data:
+        m = fit(X, y, channel, seed)
+        lml = log_marginal_likelihood(X, m.train_targets, m.hyper.lengthscales,
+                                      m.hyper.signal_variance)
+        assert lml >= _lbfgsb_best_lml(X, y, channel, seed) - 1e-3
+        on_sv_bound += np.isclose(m.hyper.signal_variance, gp._SV_BOUNDS[1],
+                                  rtol=1e-9, atol=0.0)
+    assert on_sv_bound >= 1

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from chamberopt import optim
 from chamberopt.acquisition import AcquisitionConfig
+from chamberopt.errors import NumericError
 from chamberopt.gp import GpHyperparameters, model_from_hyper, posterior
 from chamberopt.optim import OptimizerBudget, propose_batch
 
@@ -82,6 +84,25 @@ def test_determinism():
     a = propose_batch(mk, mv, config, budget, seed=11, incumbent_value=1.0)
     b = propose_batch(mk, mv, config, budget, seed=11, incumbent_value=1.0)
     np.testing.assert_array_equal(a, b)
+
+
+def test_numeric_failure_scores_one_candidate(monkeypatch):
+    mk, mv = _planted_models([0.8, 0.3], seed=4)
+    real = optim.qcei_mc
+
+    def flaky(model_k, model_v, XS, *args, **kwargs):
+        if XS[0, 0] > 0.5:
+            raise NumericError("Cholesky factorization failed")
+        return real(model_k, model_v, XS, *args, **kwargs)
+
+    monkeypatch.setattr(optim, "qcei_mc", flaky)
+    config = AcquisitionConfig(constraint_threshold=25.0, batch_size=3,
+                               mc_samples=256)
+    budget = OptimizerBudget(raw_samples=32, restarts=3, max_iters_per_restart=20)
+    batch = propose_batch(mk, mv, config, budget, seed=6, incumbent_value=1.0)
+    assert batch.shape == (3, 2)
+    assert np.all(batch >= 0.0) and np.all(batch <= 1.0)
+    assert batch[0, 0] <= 0.5      # a failed candidate never wins
 
 
 def test_containment():
