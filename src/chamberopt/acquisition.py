@@ -7,6 +7,8 @@ needs no transformation; the objective and constraint GPs are independent.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +32,11 @@ class AcquisitionConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mc_samples < 1 or self.batch_size < 1:
             raise ValueError("mc_samples and batch_size must be >= 1")
-        if not np.isfinite(self.constraint_threshold):
-            raise ValueError("constraint threshold must be finite")
+        value = self.constraint_threshold
+        # NaN fails the comparison, and an int beyond the float range fails it too
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not abs(value) <= sys.float_info.max):
+            raise ValueError(f"constraint_threshold must be a finite number, got {value!r}")
 
 
 def _norm_pdf(z: float) -> float:

@@ -10,6 +10,12 @@ costs a command-line process (every ask-tell step is one) a few tenths of a
 second and tens of MB. A model keeps the inverse of its Cholesky factor, so
 posterior queries are matrix products, and ``_minimize_box`` takes the place
 of scipy's L-BFGS-B with the same stopping rules.
+
+The likelihood gradient is the contraction 1/2 <alpha alpha^T - Kn^-1, dK/dtheta>
+(Rasmussen & Williams 2006, GPML eq. 5.9), which ``kernels.matern52_cross_grad``
+evaluates without building the (d, n, n) derivative tensor. The noise goes
+onto the diagonal of a copy of K, with no identity matrix formed, so one
+``lml_and_grad`` call at n = 180 holds about four n x n arrays at its peak.
 """
 
 from __future__ import annotations
@@ -99,15 +105,25 @@ def matern_kernel(a: np.ndarray, b: np.ndarray, hyper: GpHyperparameters) -> flo
                                 hyper.lengthscales, hyper.signal_variance)[0, 0])
 
 
+def _plus_diagonal(K: np.ndarray, value: float) -> np.ndarray:
+    """K + value * I, built without an identity matrix."""
+    out = K.copy()
+    out.flat[::K.shape[0] + 1] += value
+    return out
+
+
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K, escalating diagonal jitter on failure."""
+    """Lower Cholesky factor of K, escalating diagonal jitter on failure.
+
+    K itself is factored first; K + jitter * I is built only on escalation.
+    """
     # numpy factors a NaN matrix into an all-NaN factor instead of raising
     if not np.isfinite(K).all():
         raise NumericError("non-finite covariance matrix")
     jitter = 0.0
     while True:
         try:
-            L = np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
+            L = np.linalg.cholesky(K if jitter == 0.0 else _plus_diagonal(K, jitter))
             return L, jitter
         except np.linalg.LinAlgError:
             pass
@@ -155,7 +171,7 @@ def _factor(K: np.ndarray, y: np.ndarray,
     alpha = (K + noise^2 I)^-1 y and the log marginal likelihood, all from
     the one factor (GPML Alg. 2.1)."""
     n = K.shape[0]
-    L, _ = _chol_with_jitter(K + noise_std**2 * np.eye(n))
+    L, _ = _chol_with_jitter(_plus_diagonal(K, noise_std**2))
     L_inv = _lower_inverse(L)
     alpha = L_inv.T @ (L_inv @ y)
     lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L)))
@@ -175,18 +191,26 @@ def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
                  noise_std: float = NOISE_STD) -> tuple[float, np.ndarray]:
     """LML and its gradient w.r.t. log-lengthscales and log-signal-variance.
 
-    log_params = (log l_1..log l_d, log s2).
+    log_params = (log l_1..log l_d, log s2). With Kn = K + noise^2 I and
+    alpha = Kn^-1 y, dLML/dtheta = 1/2 tr(M dK/dtheta) with
+    M = alpha alpha^T - Kn^-1 (GPML eq. 5.9). M and dK/dtheta are symmetric,
+    so the trace is the elementwise sum <M, dK/dtheta>: ``matern52_cross_grad``
+    contracts it one lengthscale at a time, and no derivative matrix is
+    stored. Each n x n array is dropped as soon as the next step no longer
+    needs it.
     """
     ls = np.exp(log_params[:-1])
     s2 = np.exp(log_params[-1])
 
-    K, dK = matern52_cross_grad(X, X, ls, s2)
+    K = matern52_cross(X, X, ls, s2)
     L_inv, alpha, lml = _factor(K, y, noise_std)
-
-    Kn_inv = L_inv.T @ L_inv
-    M = np.outer(alpha, alpha) - Kn_inv
-    grad_ls = 0.5 * np.einsum("ij,kij->k", M, dK)
-    grad_s2 = 0.5 * np.sum(M * K)           # dK/d log s2 = K
+    M = L_inv.T @ L_inv
+    del L_inv
+    np.negative(M, out=M)
+    M += np.outer(alpha, alpha)
+    grad_s2 = 0.5 * np.vdot(M, K)           # dK/d log s2 = K
+    del K
+    grad_ls = 0.5 * matern52_cross_grad(X, X, ls, s2, M)
     return lml, np.append(grad_ls, grad_s2)
 
 
@@ -340,12 +364,18 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
         raise DegenerateDataError("need at least 2 training points")
     if y_raw.shape != (n,):
         raise ValueError("targets must match input count")
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    if np.min(dist) < 1e-10:
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    # one dimension at a time: no (n, n, d) difference tensor
+    dist2, delta = np.zeros((n, n)), np.empty((n, n))
+    for col in X.T:
+        np.subtract.outer(col, col, out=delta)
+        delta *= delta
+        dist2 += delta
+    del delta
+    np.fill_diagonal(dist2, np.inf)
+    i, j = np.unravel_index(np.argmin(dist2), dist2.shape)
+    if np.sqrt(dist2[i, j]) < 1e-10:
         raise DegenerateDataError(f"duplicate training inputs at rows {i} and {j}")
+    del dist2
 
     spec = standardization_for(y_raw, channel)
     y = (y_raw - spec.center) / spec.scale

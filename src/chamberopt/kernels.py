@@ -1,6 +1,10 @@
-"""Hot numeric kernels in numpy: the Matern-5/2 covariance with its
-log-lengthscale derivatives, and the Monte Carlo batch reductions of sampled
-improvement and feasibility.
+"""Hot numeric kernels in numpy: the Matern-5/2 covariance, the contraction
+of its log-lengthscale derivatives with a weight matrix, and the Monte Carlo
+batch reductions of sampled improvement and feasibility.
+
+The n x m kernels work in place on as few full-size arrays as they can: each
+GP fit at n = 150-180 calls them hundreds of times, and their temporaries
+are what the process's peak memory grows by.
 """
 
 from __future__ import annotations
@@ -18,36 +22,53 @@ def _scaled_distances(A, B, lengthscales):
     distances r (r2 clamped at 0) and exp(-sqrt5 r)."""
     SA = A / lengthscales
     SB = B / lengthscales
-    r2 = (
-        np.sum(SA * SA, axis=1)[:, None]
-        + np.sum(SB * SB, axis=1)[None, :]
-        - 2.0 * SA @ SB.T
-    )
-    r = np.sqrt(np.maximum(r2, 0.0))
-    return SA, SB, r2, r, np.exp(-_SQRT5 * r)
+    r2 = np.sum(SA * SA, axis=1)[:, None] + np.sum(SB * SB, axis=1)[None, :]
+    r2 -= 2.0 * SA @ SB.T
+    r = np.maximum(r2, 0.0)
+    np.sqrt(r, out=r)
+    e = np.multiply(-_SQRT5, r)
+    np.exp(e, out=e)
+    return SA, SB, r2, r, e
 
 
 def matern52_cross(A, B, lengthscales, signal_variance):
+    """s2 (1 + sqrt5 r + 5/3 r^2) exp(-sqrt5 r) for every row pair of A, B."""
     _, _, r2, r, e = _scaled_distances(A, B, lengthscales)
-    return signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * e
+    K = np.multiply(_SQRT5, r, out=r)
+    K += 1.0
+    r2 *= 5.0 / 3.0
+    K += r2
+    K *= signal_variance
+    K *= e
+    return K
 
 
-def matern52_cross_grad(A, B, lengthscales, signal_variance):
-    """Kernel matrix plus derivatives w.r.t. log-lengthscales.
+def matern52_cross_grad(A, B, lengthscales, signal_variance, weights):
+    """Contraction of the log-lengthscale derivatives of the kernel matrix
+    with an n x m weight matrix W: g_i = sum_jk W_jk dK_jk / d log l_i.
 
-    Returns (K, dK) with dK of shape (d, n, m); dK[i] = dK/d log(l_i).
     d k / d log l_i = s2 * (5/3) * (1 + sqrt5 r) exp(-sqrt5 r) * delta_i^2 / l_i^2,
-    which is smooth through r = 0.
+    with delta_i / l_i the scaled coordinate difference; smooth through r = 0.
+    The GP's likelihood gradient needs only this contraction, with
+    W = alpha alpha^T - Kn^-1 (GPML eq. 5.9), never the derivative matrices
+    themselves. The factor common to all dimensions is weighted by W once,
+    and each dimension's squared differences fill one reused n x m scratch
+    array, so the (d, n, m) derivative tensor is never built.
     """
-    d = A.shape[1]
     SA, SB, r2, r, e = _scaled_distances(A, B, lengthscales)
-    K = signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * e
-    core = signal_variance * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * e
-    dK = np.empty((d, A.shape[0], B.shape[0]))
-    for i in range(d):
-        di2 = (SA[:, i][:, None] - SB[None, :, i]) ** 2
-        dK[i] = core * di2
-    return K, dK
+    del r2
+    core = np.multiply(_SQRT5, r, out=r)
+    core += 1.0
+    core *= e
+    del e
+    core *= weights
+    scratch = np.empty_like(core)
+    g = np.empty(A.shape[1])
+    for i in range(A.shape[1]):
+        np.subtract.outer(SA[:, i], SB[:, i], out=scratch)
+        scratch *= scratch
+        g[i] = np.vdot(core, scratch)
+    return signal_variance * (5.0 / 3.0) * g
 
 
 def mc_batch_improvement(k_samples, v_samples, best, threshold):

@@ -8,6 +8,8 @@ draws make the surface deterministic within one run.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,12 @@ class OptimizerBudget:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.raw_samples, self.restarts, self.max_iters_per_restart) < 1:
             raise ValueError("budget counts must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence tolerance must be positive")
+        value = self.convergence_tol
+        # NaN fails the comparison, and an int beyond the float range fails it too
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0 < value <= sys.float_info.max):
+            raise ValueError(
+                f"convergence_tol must be a positive finite number, got {value!r}")
 
 
 def _pattern_search(objective, x0, f0, max_iters, tol):

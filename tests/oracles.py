@@ -25,6 +25,45 @@ def kernel_matrix(A, B, lengthscales, signal_variance):
     return K
 
 
+def matern52_dlogl_scalar(a, b, lengthscales, signal_variance):
+    """d k(a, b) / d log l_i for every i, as a list."""
+    r2 = 0.0
+    for ai, bi, li in zip(a, b, lengthscales):
+        r2 += ((ai - bi) / li) ** 2
+    r = math.sqrt(r2)
+    core = signal_variance * 5 / 3 * (1 + math.sqrt(5) * r) * math.exp(-math.sqrt(5) * r)
+    return [core * ((ai - bi) / li) ** 2 for ai, bi, li in zip(a, b, lengthscales)]
+
+
+def matern52_grad_loop(A, B, lengthscales, signal_variance, W):
+    """sum_jk W_jk dK_jk / d log l_i, one matrix entry at a time."""
+    g = [0.0] * len(lengthscales)
+    for j, a in enumerate(A):
+        for k, b in enumerate(B):
+            for i, dk in enumerate(matern52_dlogl_scalar(a, b, lengthscales,
+                                                          signal_variance)):
+                g[i] += W[j][k] * dk
+    return np.array(g)
+
+
+def dense_lml_grad(X, y, lengthscales, signal_variance, noise_std):
+    """LML gradient w.r.t. (log l_1..log l_d, log s2) from GPML eq. 5.9 as
+    written: a loop-built derivative tensor dK, the dense inverse of
+    Kn = K + noise^2 I and 1/2 tr((alpha alpha^T - Kn^-1) dK_i)."""
+    n, d = len(X), len(lengthscales)
+    K = kernel_matrix(X, X, lengthscales, signal_variance)
+    dK = np.empty((d + 1, n, n))
+    for j in range(n):
+        for k in range(n):
+            dK[:d, j, k] = matern52_dlogl_scalar(X[j], X[k], lengthscales,
+                                                 signal_variance)
+    dK[d] = K                                   # dK / d log s2
+    Kn_inv = np.linalg.inv(K + noise_std**2 * np.eye(n))
+    alpha = Kn_inv @ y
+    M = np.outer(alpha, alpha) - Kn_inv
+    return np.array([0.5 * np.trace(M @ dK[i]) for i in range(d + 1)])
+
+
 def dense_posterior(X, y, lengthscales, signal_variance, noise_std, Xq):
     """Posterior mean/std by direct dense LU solves (standardized units)."""
     Kn = kernel_matrix(X, X, lengthscales, signal_variance) \

@@ -61,6 +61,18 @@ def test_unknown_flag_is_usage_error(tmp_path, capsys):
         assert main(["run", "--dir", str(tmp_path)] + flags) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--tol", "nan"], "convergence_tol"),
+    (["--tol", "0"], "convergence_tol"),
+    (["--threshold", "nan"], "constraint_threshold"),
+])
+def test_invalid_run_value_is_usage_error(tmp_path, capsys, flags, field):
+    assert main(_run_args(tmp_path, flags)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "state.json").exists()
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -245,6 +257,30 @@ def _boolean_restarts(cfg):
     cfg["budget"]["restarts"] = True
 
 
+def _boolean_threshold(cfg):
+    cfg["acq"]["constraint_threshold"] = True
+
+
+def _string_threshold(cfg):
+    cfg["acq"]["constraint_threshold"] = "25"
+
+
+def _nan_threshold(cfg):
+    cfg["acq"]["constraint_threshold"] = float("nan")
+
+
+def _boolean_tol(cfg):
+    cfg["budget"]["convergence_tol"] = True
+
+
+def _string_tol(cfg):
+    cfg["budget"]["convergence_tol"] = "1e-6"
+
+
+def _nan_tol(cfg):
+    cfg["budget"]["convergence_tol"] = float("nan")
+
+
 def _top_level_list(cfg):
     return [cfg]
 
@@ -276,6 +312,12 @@ def _acq_kind(cfg):
     (_negative_seed, "seed"),
     (_boolean_mc_samples, "mc_samples"),
     (_boolean_restarts, "restarts"),
+    (_boolean_threshold, "constraint_threshold"),
+    (_string_threshold, "constraint_threshold"),
+    (_nan_threshold, "constraint_threshold"),
+    (_boolean_tol, "convergence_tol"),
+    (_string_tol, "convergence_tol"),
+    (_nan_tol, "convergence_tol"),
     (_top_level_list, "JSON object"),
     (_unknown_evaluator, "evaluator"),
     (_null_lower, "space[1]"),

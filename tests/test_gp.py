@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from chamberopt.gp import (GpHyperparameters, PosteriorGaussian, destandardize,
                            standardization_for)
 from chamberopt.space import PRECHAMBER_SPACE, latin_hypercube
 
-from oracles import (dense_joint_covariance, dense_lml, dense_posterior,
-                     kernel_matrix)
+from oracles import (dense_joint_covariance, dense_lml, dense_lml_grad,
+                     dense_posterior, kernel_matrix)
 
 
 def _random_dataset(rng, n, d):
@@ -177,6 +179,34 @@ def test_lml_gradient_matches_finite_differences():
             fd = (lml_and_grad(X, y, pp)[0] - lml_and_grad(X, y, pm)[0]) / (2 * h)
             denom = max(abs(fd), 1e-8)
             assert abs(grad[i] - fd) / denom < 1e-4
+
+
+@pytest.mark.parametrize("n", [12, 60, 180])
+def test_lml_gradient_matches_dense_oracle(n):
+    rng = np.random.default_rng(n)
+    X, y = _random_dataset(rng, n, 3)
+    for _ in range(3):
+        p = np.append(rng.uniform(np.log(0.05), np.log(2.0), 3),
+                      rng.uniform(np.log(0.3), np.log(3.0)))
+        _, grad = lml_and_grad(X, y, p)
+        ref = dense_lml_grad(X, y, np.exp(p[:-1]), np.exp(p[-1]), gp.NOISE_STD)
+        np.testing.assert_allclose(grad, ref, rtol=1e-9)
+
+
+def test_lml_and_grad_allocation_peak():
+    # numpy reports its data buffers to tracemalloc, so the peak is exact;
+    # a (d, n, n) derivative tensor alone would take 3 n^2 doubles more
+    n = 180
+    X, y = _random_dataset(np.random.default_rng(11), n, 3)
+    p = np.log([0.3, 0.5, 0.8, 1.2])
+    lml_and_grad(X, y, p)
+    tracemalloc.start()
+    try:
+        lml_and_grad(X, y, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * n * n * 8
 
 
 # ------------------------------------------------------------ posterior

@@ -3,8 +3,8 @@ import pytest
 
 from chamberopt.kernels import (matern52_cross, matern52_cross_grad,
                                 mc_batch_feasibility, mc_batch_improvement)
-from oracles import (kernel_matrix, mc_batch_feasibility_loop,
-                     mc_batch_improvement_loop)
+from oracles import (kernel_matrix, matern52_grad_loop,
+                     mc_batch_feasibility_loop, mc_batch_improvement_loop)
 
 _EPS = np.finfo(float).eps
 
@@ -31,27 +31,44 @@ def test_mc_reductions_match_loop_oracles():
     assert mc_batch_feasibility(vs, 25.0) == mc_batch_feasibility_loop(vs, 25.0)
 
 
+def test_grad_matches_loop_oracle():
+    rng = np.random.default_rng(3)
+    A, B = rng.uniform(size=(12, 3)), rng.uniform(size=(7, 3))
+    ls = rng.uniform(0.1, 1.5, 3)
+    s2 = 1.3
+    for A_, B_ in ((A, B), (A, A)):
+        W = rng.standard_normal((len(A_), len(B_)))    # not symmetric
+        # |dk / d log l_i| <= s2, so each term rounds within a few eps of s2 |W_jk|;
+        # the r^2 rounding of the expanded distance form is below 1e-12
+        np.testing.assert_allclose(matern52_cross_grad(A_, B_, ls, s2, W),
+                                   matern52_grad_loop(A_, B_, ls, s2, W),
+                                   rtol=1e-12, atol=1e-12 * s2 * np.abs(W).sum())
+
+
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(2)
-    A = rng.uniform(size=(10, 3))
+    A, B = rng.uniform(size=(10, 3)), rng.uniform(size=(8, 3))
     ls = rng.uniform(0.2, 1.5, 3)
     s2 = 0.8
-    K, dK = matern52_cross_grad(A, A, ls, s2)
-    np.testing.assert_allclose(K, matern52_cross(A, A, ls, s2), rtol=1e-12)
     h = 1e-6
-    for i in range(3):
-        ls_p, ls_m = ls.copy(), ls.copy()
-        ls_p[i] *= np.exp(h)
-        ls_m[i] *= np.exp(-h)
-        fd = (matern52_cross(A, A, ls_p, s2)
-              - matern52_cross(A, A, ls_m, s2)) / (2 * h)
-        np.testing.assert_allclose(dK[i], fd, atol=1e-6)
+    for A_, B_ in ((A, A), (A, B)):
+        W = rng.standard_normal((len(A_), len(B_)))
+        g = matern52_cross_grad(A_, B_, ls, s2, W)
+        for i in range(3):
+            ls_p, ls_m = ls.copy(), ls.copy()
+            ls_p[i] *= np.exp(h)
+            ls_m[i] *= np.exp(-h)
+            fd = np.sum(W * (matern52_cross(A_, B_, ls_p, s2)
+                             - matern52_cross(A_, B_, ls_m, s2))) / (2 * h)
+            assert g[i] == pytest.approx(fd, abs=1e-6)
 
 
 def test_grad_smooth_at_zero_distance():
-    A = np.array([[0.3, 0.3]])
-    _, dK = matern52_cross_grad(A, A, np.array([0.5, 0.5]), 1.0)
-    np.testing.assert_allclose(dK[:, 0, 0], 0.0)
+    A = np.array([[0.3, 0.3], [0.6, 0.1]])
+    W = np.zeros((2, 2))
+    W[0, 0] = 1.0
+    g = matern52_cross_grad(A, A, np.array([0.5, 0.5]), 1.0, W)
+    assert np.all(g == 0.0)
 
 
 def test_mc_improvement_zero_when_infeasible():
