@@ -20,16 +20,17 @@ from .errors import (BoundsViolationError, DataError, InvalidStateError,
                      StateFileError)
 from .evaluators import (EVALUATORS, Dataset, Observation, read_results,
                          write_proposals)
-from .gp import GpHyperparameters, GpModel, StandardizationSpec, fit
+from .gp import GpHyperparameters, GpModel, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, latin_hypercube
 
-# version 1 also stored the constants "kernel_nu" and "sampler", and versions
-# 1 and 2 an acquisition "kind" with the weight of its removed second mode;
-# load_state still reads such files, ignores those keys and refuses a
+# version 1 also stored the constants "kernel_nu" and "sampler", versions
+# 1 and 2 an acquisition "kind" with the weight of its removed second mode,
+# and versions 1-3 "lhs_midpoint" and "fitted_standardize_k/v", which nothing
+# read; load_state still reads such files, ignores those keys and refuses a
 # campaign whose kind was not "cei"
-STATE_VERSION = 3
-_READABLE_VERSIONS = (1, 2, STATE_VERSION)
+STATE_VERSION = 4
+_READABLE_VERSIONS = (1, 2, 3, STATE_VERSION)
 
 # role tags for deriving per-stage substream seeds
 _ROLE_FIT_K = 1
@@ -58,9 +59,6 @@ class CampaignState:
     pending: list[tuple[str, tuple[float, ...]]] = field(default_factory=list)
     fitted_hyper_k: GpHyperparameters | None = None
     fitted_hyper_v: GpHyperparameters | None = None
-    fitted_standardize_k: StandardizationSpec | None = None
-    fitted_standardize_v: StandardizationSpec | None = None
-    lhs_midpoint: bool = False
 
     @property
     def awaiting_results(self) -> bool:
@@ -90,8 +88,7 @@ def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
                          f"'external' or one of {sorted(EVALUATORS)}")
     state = CampaignState(space=space, acq=acq, budget=budget,
                           dataset=Dataset(space=space), doe_n=doe_n,
-                          rng_seed=seed, evaluator=evaluator,
-                          lhs_midpoint=lhs_midpoint)
+                          rng_seed=seed, evaluator=evaluator)
     u = latin_hypercube(space, doe_n, derive_seed(seed, 0, _ROLE_DOE),
                         midpoint=lhs_midpoint)
     x_phys = space.from_unit(u)
@@ -149,8 +146,6 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
     it = state.iteration
     mk, mv = fit_models(state)
     state.fitted_hyper_k, state.fitted_hyper_v = mk.hyper, mv.hyper
-    state.fitted_standardize_k = mk.standardize
-    state.fitted_standardize_v = mv.standardize
     inc = incumbent(state.dataset, state.acq.constraint_threshold)
     batch_u = propose_batch(mk, mv, state.acq, state.budget,
                             derive_seed(state.rng_seed, it, _ROLE_PROPOSE),
@@ -252,23 +247,18 @@ def _hyper_from_json(d):
                              noise_std=d["noise_std"])
 
 
-def _std_to_json(s: StandardizationSpec | None):
-    if s is None:
-        return None
-    return {"center": float(s.center), "scale": float(s.scale)}
-
-
-def _std_from_json(d):
-    if d is None:
-        return None
-    return StandardizationSpec(center=d["center"], scale=d["scale"])
+def _count_from_json(doc, key: str) -> int:
+    # JSON true/false load as bool, which Python counts as an int
+    v = doc[key]
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValueError(f"{key!r} must be a non-negative integer, got {v!r}")
+    return v
 
 
 def save_state(state: CampaignState, path: str) -> None:
     """Serialize to versioned JSON via temp-file + rename (atomic)."""
     doc = {
         "version": STATE_VERSION,
-        "lhs_midpoint": state.lhs_midpoint,
         "evaluator": state.evaluator,
         "rng_seed": state.rng_seed,
         "iteration": state.iteration,
@@ -281,8 +271,6 @@ def save_state(state: CampaignState, path: str) -> None:
         "pending": [{"id": pid, "x": list(x)} for pid, x in state.pending],
         "fitted_hyper_k": _hyper_to_json(state.fitted_hyper_k),
         "fitted_hyper_v": _hyper_to_json(state.fitted_hyper_v),
-        "fitted_standardize_k": _std_to_json(state.fitted_standardize_k),
-        "fitted_standardize_v": _std_to_json(state.fitted_standardize_v),
     }
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".state-", suffix=".json")
@@ -321,19 +309,19 @@ def load_state(path: str) -> CampaignState:
             acq = {f.name: acq[f.name] for f in fields(AcquisitionConfig)}
         acq = AcquisitionConfig(**acq)
         budget = OptimizerBudget(**doc["budget"])
+        if not isinstance(doc["evaluator"], str):
+            raise ValueError(f"'evaluator' must be a string, got {doc['evaluator']!r}")
         dataset = Dataset(space=space)
         for r in doc["dataset"]:
             dataset.append(Observation(tuple(r["x"]), r["k"], r["v"], r["tag"]))
         state = CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,
-            doe_n=doc["doe_n"], rng_seed=doc["rng_seed"],
-            evaluator=doc["evaluator"], iteration=doc["iteration"],
+            doe_n=doc["doe_n"], rng_seed=_count_from_json(doc, "rng_seed"),
+            evaluator=doc["evaluator"],
+            iteration=_count_from_json(doc, "iteration"),
             pending=[(p["id"], tuple(p["x"])) for p in doc["pending"]],
             fitted_hyper_k=_hyper_from_json(doc["fitted_hyper_k"]),
-            fitted_hyper_v=_hyper_from_json(doc["fitted_hyper_v"]),
-            fitted_standardize_k=_std_from_json(doc["fitted_standardize_k"]),
-            fitted_standardize_v=_std_from_json(doc["fitted_standardize_v"]),
-            lhs_midpoint=doc["lhs_midpoint"])
+            fitted_hyper_v=_hyper_from_json(doc["fitted_hyper_v"]))
     except (KeyError, TypeError, ValueError, BoundsViolationError,
             DataError) as e:
         raise StateFileError(f"{path}: malformed state file: {e}") from e

@@ -7,8 +7,6 @@ coordinates appear only at the evaluator boundary and in reports.
 
 from __future__ import annotations
 
-import importlib.util
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,56 +126,20 @@ def latin_hypercube(space: ParameterSpace, n: int, seed: int,
 
 _SOBOL_BITS = 30
 _SOBOL_MAXDIM = 21201   # rows of the Joe-Kuo direction-number table
-_SKIP_CHUNK = 1 << 16
-
-
-def _leading_rows(f, rows: int) -> np.ndarray:
-    """The first ``rows`` rows of the .npy array stored in the open file f.
-
-    Reads those rows alone, skipping the rest in small chunks: the table's
-    ``vinit`` is 3 MB and column-major, and a proposal needs q*d of its
-    21,201 rows.
-    """
-    fmt = np.lib.format
-    version = fmt.read_magic(f)
-    read_header = (fmt.read_array_header_1_0 if version == (1, 0)
-                   else fmt.read_array_header_2_0)
-    shape, fortran_order, dtype = read_header(f)
-
-    def read(nbytes):
-        data = f.read(nbytes)
-        if len(data) != nbytes:
-            raise ValueError("truncated Sobol direction-number table")
-        return data
-
-    if not fortran_order or len(shape) == 1:
-        width = int(np.prod(shape[1:]))
-        data = read(rows * width * dtype.itemsize)
-        return np.frombuffer(data, dtype).reshape((rows,) + shape[1:])
-    columns = []
-    for j in range(shape[1]):
-        columns.append(np.frombuffer(read(rows * dtype.itemsize), dtype))
-        skip = (shape[0] - rows) * dtype.itemsize if j + 1 < shape[1] else 0
-        while skip > 0:
-            skip -= len(read(min(skip, _SKIP_CHUNK)))
-    return np.stack(columns, axis=1)
+# row i: primitive polynomial, then the 18 initial direction numbers
+_SOBOL_TABLE = Path(__file__).with_name("sobol_direction_numbers.npy")
 
 
 def _sobol_direction_numbers(dim: int) -> np.ndarray:
     """(dim, bits) Sobol direction numbers, column j scaled by 2**(bits-1-j).
 
-    Joe & Kuo (2008) primitive polynomials and initial numbers, read from the
-    table that ships inside scipy (located without importing scipy.stats),
-    extended by the Bratley & Fox (1988) recurrence.
+    Joe & Kuo (2008) primitive polynomials and initial numbers, memory-mapped
+    from the table shipped with the package (a proposal reads only its q*d
+    rows), extended by the Bratley & Fox (1988) recurrence.
     """
-    root = Path(importlib.util.find_spec("scipy").origin).parent
-    with zipfile.ZipFile(root / "stats" / "_sobol_direction_numbers.npz") as table:
-        with table.open("poly.npy") as f:
-            poly = _leading_rows(f, dim).tolist()
-        with table.open("vinit.npy") as f:
-            vinit = _leading_rows(f, dim).tolist()
+    table = np.load(_SOBOL_TABLE, mmap_mode="r")[:dim].tolist()
     rows = [[1] * _SOBOL_BITS]
-    for p, init in zip(poly[1:], vinit[1:]):
+    for p, *init in table[1:]:
         m = p.bit_length() - 1
         v = init[:m]
         for j in range(m, _SOBOL_BITS):
@@ -197,9 +159,9 @@ def scrambled_sobol(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     .random(n)`` bit for bit: 30-bit Joe-Kuo direction numbers, a left linear
     matrix scramble (lower triangular, unit diagonal) plus a digital shift,
     both drawn from ``rng.spawn(1)[0]`` in scipy's order, and Gray-code
-    order. The caller's generator ends in the same state as with scipy. Being
-    in-house, the design no longer follows whichever scipy version is
-    installed: proposals depend on this one algorithm.
+    order. The caller's generator ends in the same state as with scipy. The
+    algorithm and its table ship with this package, so the design neither
+    needs scipy nor follows whichever scipy version is installed.
     """
     if n < 1:
         raise ValueError("Sobol sample count must be >= 1")

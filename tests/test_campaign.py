@@ -214,8 +214,6 @@ def _states_equal(a: CampaignState, b: CampaignState):
         if ha is not None:
             np.testing.assert_array_equal(ha.lengthscales, hb.lengthscales)
             assert ha.signal_variance == hb.signal_variance
-    assert a.fitted_standardize_k == b.fitted_standardize_k
-    assert a.fitted_standardize_v == b.fitted_standardize_v
 
 
 def test_save_load_round_trip(tmp_path):

@@ -193,9 +193,12 @@ def _nan_k(doc):
 def _as_old_version(version, kind="cei"):
     """Edit a current state file into the given older version's layout."""
     def edit(doc):
-        assert doc["version"] == 3 and "kind" not in doc["acq"]
-        doc["version"] = version
-        doc["acq"] = {"kind": kind, **doc["acq"], "ucb_beta": 2.0}
+        assert doc["version"] == 4 and "lhs_midpoint" not in doc
+        doc.update(version=version, lhs_midpoint=False,
+                   fitted_standardize_k={"center": 1.0, "scale": 2.0},
+                   fitted_standardize_v={"center": 0.0, "scale": 3.0})
+        if version < 3:
+            doc["acq"] = {"kind": kind, **doc["acq"], "ucb_beta": 2.0}
         if version == 1:
             doc.update(kernel_nu=2.5, sampler="sobol-scrambled")
     return edit
@@ -336,7 +339,7 @@ def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
     assert not (d / "state.json").exists()
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_state_version_resumes_like_current(tmp_path, capsys, version):
     current = _doe_ingested(tmp_path)
     old = tmp_path / "camp_old"
@@ -349,6 +352,35 @@ def test_old_state_version_resumes_like_current(tmp_path, capsys, version):
             == (current / "proposals_iter1.csv").read_bytes())
     doc = json.loads((old / "state.json").read_text())
     assert doc["version"] == STATE_VERSION and "kind" not in doc["acq"]
+    assert "lhs_midpoint" not in doc and "fitted_standardize_k" not in doc
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("ingest", "iteration", "x"),
+    ("ingest", "iteration", -1),
+    ("ingest", "iteration", True),
+    ("ingest", "iteration", 1.0),
+    ("propose", "rng_seed", "s"),
+    ("propose", "rng_seed", -3),
+    ("propose", "rng_seed", False),
+    ("propose", "rng_seed", None),
+    ("propose", "evaluator", 7),
+    ("propose", "evaluator", ["proxy"]),
+])
+def test_mistyped_state_scalar_is_io_error(tmp_path, capsys, command, field,
+                                           value):
+    d = _doe_ingested(tmp_path)
+    argv = [command, "--dir", str(d)]
+    if command == "ingest":
+        assert main(["propose", "--dir", str(d)]) == EXIT_OK
+        _answer(d / "proposals_iter1.csv", d / "r1.csv")
+        argv.insert(1, str(d / "r1.csv"))
+    before = _edit_state(d, lambda doc: doc.update({field: value}))
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert (d / "state.json").read_bytes() == before
 
 
 def test_unknown_state_version_is_io_error(tmp_path, capsys):
@@ -362,9 +394,15 @@ def test_unknown_state_version_is_io_error(tmp_path, capsys):
 
 def test_cli_commands_leave_scipy_unloaded(tmp_path):
     # every CLI call is a fresh process, and any scipy subpackage import
-    # costs it a few tenths of a second and tens of MB
+    # costs it a few tenths of a second and tens of MB; with scipy made
+    # unimportable the commands must still run
     src = os.path.dirname(os.path.dirname(chamberopt.__file__))
     code = ("import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
             "from chamberopt.cli import main\n"
             f"assert main({_run_args(tmp_path)!r}) == 0\n"
             f"assert main(['report', '--dir', {str(tmp_path)!r}]) == 0\n"

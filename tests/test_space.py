@@ -117,6 +117,21 @@ def test_scrambled_sobol_matches_scipy_bit_for_bit(dim, n):
         assert ours.integers(2**62) == theirs.integers(2**62)
 
 
+def test_shipped_direction_numbers_equal_scipys_table():
+    # scipy's copy of the Joe-Kuo table is the reference for the packaged one
+    import os
+    import scipy
+    from chamberopt.space import _SOBOL_MAXDIM, _SOBOL_TABLE
+    with np.load(os.path.join(os.path.dirname(scipy.__file__), "stats",
+                              "_sobol_direction_numbers.npz")) as ref:
+        poly, vinit = ref["poly"], ref["vinit"]
+    table = np.load(_SOBOL_TABLE)
+    assert table.dtype == np.uint32 and table.flags.c_contiguous
+    assert table.shape == (_SOBOL_MAXDIM, 19) == (len(poly), 1 + vinit.shape[1])
+    np.testing.assert_array_equal(table[:, 0], poly)
+    np.testing.assert_array_equal(table[:, 1:], vinit)
+
+
 def test_scrambled_sobol_rejects_dim_beyond_table():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
