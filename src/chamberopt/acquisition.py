@@ -90,42 +90,29 @@ def incumbent(dataset, threshold: float) -> Incumbent | None:
     return Incumbent(index=best_i, k_best=best_k)
 
 
-def _raw_joint_samples(model: GpModel, XS, n_samples, seed=None, base=None):
-    s = joint_posterior_samples(model, XS, n_samples, seed=seed, base_normals=base)
+def _raw_joint_samples(model: GpModel, XS, base):
+    s = joint_posterior_samples(model, XS, base)
     return model.standardize.scale * s + model.standardize.center
 
 
 def qcei_mc(model_k: GpModel, model_v: GpModel, XS: np.ndarray, best: float,
-            threshold: float, n_samples: int, seed: int | None = None,
-            base_k: np.ndarray | None = None,
-            base_v: np.ndarray | None = None) -> float:
+            threshold: float, base_k: np.ndarray, base_v: np.ndarray) -> float:
     """MC estimate of E[max_i 1(v_i <= threshold) * max(0, k_i - best)].
 
     Joint posterior draws per channel (channels independent), raw units.
-    Deterministic given the seed, or given fixed base normal draws.
+    ``base_k`` and ``base_v`` are (n_samples, |XS|) standard-normal base
+    draws for the objective and the constraint; the estimate is a
+    deterministic function of XS for fixed base draws.
     """
-    XS = np.atleast_2d(np.asarray(XS, dtype=float))
-    if base_k is None or base_v is None:
-        if seed is None:
-            raise ValueError("need a seed or base normals")
-        rng = np.random.default_rng(seed)
-        q = XS.shape[0]
-        base_k = rng.standard_normal((n_samples, q))
-        base_v = rng.standard_normal((n_samples, q))
-    ks = _raw_joint_samples(model_k, XS, n_samples, base=base_k)
-    vs = _raw_joint_samples(model_v, XS, n_samples, base=base_v)
+    ks = _raw_joint_samples(model_k, XS, base_k)
+    vs = _raw_joint_samples(model_v, XS, base_v)
     return float(mc_batch_improvement(ks, vs, best, threshold))
 
 
 def q_feasibility_mc(model_v: GpModel, XS: np.ndarray, threshold: float,
-                     n_samples: int, seed: int | None = None,
-                     base_v: np.ndarray | None = None) -> float:
+                     base_v: np.ndarray) -> float:
     """MC estimate of P(any batch point feasible); fallback acquisition when
-    no feasible incumbent exists yet."""
-    XS = np.atleast_2d(np.asarray(XS, dtype=float))
-    if base_v is None:
-        if seed is None:
-            raise ValueError("need a seed or base normals")
-        base_v = np.random.default_rng(seed).standard_normal((n_samples, XS.shape[0]))
-    vs = _raw_joint_samples(model_v, XS, n_samples, base=base_v)
+    no feasible incumbent exists yet. ``base_v`` is an (n_samples, |XS|)
+    matrix of standard-normal base draws for the constraint."""
+    vs = _raw_joint_samples(model_v, XS, base_v)
     return float(mc_batch_feasibility(vs, threshold))

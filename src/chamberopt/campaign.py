@@ -26,11 +26,12 @@ from .space import ParameterSpace, latin_hypercube
 
 # version 1 also stored the constants "kernel_nu" and "sampler", versions
 # 1 and 2 an acquisition "kind" with the weight of its removed second mode,
-# and versions 1-3 "lhs_midpoint" and "fitted_standardize_k/v", which nothing
-# read; load_state still reads such files, ignores those keys and refuses a
-# campaign whose kind was not "cei"
-STATE_VERSION = 4
-_READABLE_VERSIONS = (1, 2, 3, STATE_VERSION)
+# versions 1-3 "lhs_midpoint" and "fitted_standardize_k/v", and versions 1-4
+# "doe_n" and "budget.convergence_tol", which nothing read or which only
+# ever held 1e-6; load_state still reads such files, ignores those keys and
+# refuses a campaign whose kind was not "cei" or whose tolerance was not 1e-6
+STATE_VERSION = 5
+_READABLE_VERSIONS = tuple(range(1, STATE_VERSION + 1))
 
 # role tags for deriving per-stage substream seeds
 _ROLE_FIT_K = 1
@@ -52,7 +53,6 @@ class CampaignState:
     acq: AcquisitionConfig
     budget: OptimizerBudget
     dataset: Dataset
-    doe_n: int
     rng_seed: int
     evaluator: str = "external"        # external | proxy | quadratic
     iteration: int = 0                 # completed BO iterations
@@ -74,8 +74,7 @@ def _evaluator_fn(state: CampaignState):
 
 def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
                   budget: OptimizerBudget, doe_n: int, seed: int,
-                  evaluator: str = "external",
-                  lhs_midpoint: bool = False) -> CampaignState:
+                  evaluator: str = "external") -> CampaignState:
     """Start a campaign with a Latin hypercube initial design.
 
     Embedded mode evaluates the design immediately; external mode leaves the
@@ -87,10 +86,9 @@ def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
         raise ValueError(f"unknown evaluator {evaluator!r}; expected "
                          f"'external' or one of {sorted(EVALUATORS)}")
     state = CampaignState(space=space, acq=acq, budget=budget,
-                          dataset=Dataset(space=space), doe_n=doe_n,
-                          rng_seed=seed, evaluator=evaluator)
-    u = latin_hypercube(space, doe_n, derive_seed(seed, 0, _ROLE_DOE),
-                        midpoint=lhs_midpoint)
+                          dataset=Dataset(space=space), rng_seed=seed,
+                          evaluator=evaluator)
+    u = latin_hypercube(space, doe_n, derive_seed(seed, 0, _ROLE_DOE))
     x_phys = space.from_unit(u)
     if evaluator == "external":
         state.pending = [(f"iter0_{j}", tuple(map(float, x_phys[j])))
@@ -224,6 +222,8 @@ def best_so_far(state: CampaignState):
 
 def run_campaign(state: CampaignState, n_iterations: int) -> CampaignState:
     """Run n embedded-mode BO iterations."""
+    if n_iterations < 0:
+        raise ValueError(f"iters must be >= 0, got {n_iterations}")
     for _ in range(n_iterations):
         state = step(state)
     return state
@@ -255,6 +255,23 @@ def _count_from_json(doc, key: str) -> int:
     return v
 
 
+def _pending_from_json(records, space: ParameterSpace):
+    pending = {}
+    for i, p in enumerate(records):
+        x = p.get("x") if isinstance(p, dict) else None
+        # NaN and +-inf fail the closed bounds comparison
+        if (not isinstance(x, list) or not isinstance(p.get("id"), str)
+                or p["id"] in pending or len(x) != space.ndim
+                or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                           and d.lower <= c <= d.upper
+                           for c, d in zip(x, space.dims))):
+            raise ValueError(
+                f"pending[{i}] must be an object with a unique string 'id' and "
+                f"an 'x' of {space.ndim} numbers inside the bounds, got {p!r}")
+        pending[p["id"]] = tuple(x)
+    return list(pending.items())
+
+
 def save_state(state: CampaignState, path: str) -> None:
     """Serialize to versioned JSON via temp-file + rename (atomic)."""
     doc = {
@@ -262,7 +279,6 @@ def save_state(state: CampaignState, path: str) -> None:
         "evaluator": state.evaluator,
         "rng_seed": state.rng_seed,
         "iteration": state.iteration,
-        "doe_n": state.doe_n,
         "space": state.space.to_config(),
         "acq": asdict(state.acq),
         "budget": asdict(state.budget),
@@ -308,7 +324,14 @@ def load_state(path: str) -> CampaignState:
                     "only constrained EI ('cei') campaigns can be resumed")
             acq = {f.name: acq[f.name] for f in fields(AcquisitionConfig)}
         acq = AcquisitionConfig(**acq)
-        budget = OptimizerBudget(**doc["budget"])
+        budget = dict(doc["budget"])
+        if doc["version"] < 5:
+            tol = budget.pop("convergence_tol", 1e-6)
+            if tol != 1e-6:
+                raise StateFileError(
+                    f"{path}: budget.convergence_tol {tol!r} has been removed; "
+                    "only campaigns with the fixed 1e-6 can be resumed")
+        budget = OptimizerBudget(**budget)
         if not isinstance(doc["evaluator"], str):
             raise ValueError(f"'evaluator' must be a string, got {doc['evaluator']!r}")
         dataset = Dataset(space=space)
@@ -316,10 +339,10 @@ def load_state(path: str) -> CampaignState:
             dataset.append(Observation(tuple(r["x"]), r["k"], r["v"], r["tag"]))
         state = CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,
-            doe_n=doc["doe_n"], rng_seed=_count_from_json(doc, "rng_seed"),
+            rng_seed=_count_from_json(doc, "rng_seed"),
             evaluator=doc["evaluator"],
             iteration=_count_from_json(doc, "iteration"),
-            pending=[(p["id"], tuple(p["x"])) for p in doc["pending"]],
+            pending=_pending_from_json(doc["pending"], space),
             fitted_hyper_k=_hyper_from_json(doc["fitted_hyper_k"]),
             fitted_hyper_v=_hyper_from_json(doc["fitted_hyper_v"]))
     except (KeyError, TypeError, ValueError, BoundsViolationError,

@@ -26,6 +26,8 @@ EXIT_STATE = 6
 
 ENV_CAMPAIGN_DIR = "CHAMBEROPT_DIR"
 
+_CONFIG_KEYS = ("space", "acq", "budget", "doe_n", "seed", "evaluator")
+
 
 def _state_path(dirname: str) -> str:
     return os.path.join(dirname, "state.json")
@@ -40,13 +42,11 @@ def _add_budget_args(p):
     p.add_argument("--raw-samples", type=int, default=256)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
 
 
 def _budget(args) -> OptimizerBudget:
     return OptimizerBudget(raw_samples=args.raw_samples, restarts=args.restarts,
-                           max_iters_per_restart=args.max_iters,
-                           convergence_tol=args.tol)
+                           max_iters_per_restart=args.max_iters)
 
 
 def _parser():
@@ -104,11 +104,14 @@ def _cmd_init(args):
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config field(s) {unknown}; "
+                         f"expected some of {list(_CONFIG_KEYS)}")
     if not isinstance(cfg.get("space"), list):
         raise ValueError(f"{args.config}: config field 'space' must be a list "
                          "of dimension records")
-    for key, kind in (("doe_n", int), ("seed", int), ("evaluator", str),
-                      ("lhs_midpoint", bool)):
+    for key, kind in (("doe_n", int), ("seed", int), ("evaluator", str)):
         # JSON true/false load as bool, which Python counts as an int
         if key in cfg and (not isinstance(cfg[key], kind)
                            or kind is int and isinstance(cfg[key], bool)):
@@ -121,8 +124,7 @@ def _cmd_init(args):
     state = camp.init_campaign(space, acq, budget,
                                doe_n=cfg.get("doe_n", 10),
                                seed=cfg.get("seed", 0),
-                               evaluator=cfg.get("evaluator", "external"),
-                               lhs_midpoint=cfg.get("lhs_midpoint", False))
+                               evaluator=cfg.get("evaluator", "external"))
     os.makedirs(args.dir, exist_ok=True)
     if state.pending:
         path = os.path.join(args.dir, "proposals_iter0.csv")

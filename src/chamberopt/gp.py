@@ -78,11 +78,6 @@ class GpModel:
     train_targets: np.ndarray       # (n,) standardized
     chol_inv: np.ndarray            # inverse lower factor of K + noise^2 I (+ jitter)
     alpha: np.ndarray               # (K + noise^2 I)^-1 y
-    channel: str = "objective"
-
-    @property
-    def n_train(self) -> int:
-        return self.train_inputs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -418,7 +413,7 @@ def model_from_hyper(inputs, raw_targets, channel, hyper: GpHyperparameters) -> 
     K = matern52_cross(X, X, hyper.lengthscales, hyper.signal_variance)
     L_inv, alpha, _ = _factor(K, y, hyper.noise_std)
     return GpModel(hyper=hyper, standardize=spec, train_inputs=X,
-                   train_targets=y, chol_inv=L_inv, alpha=alpha, channel=channel)
+                   train_targets=y, chol_inv=L_inv, alpha=alpha)
 
 
 def _cross_solve(model: GpModel, Xq: np.ndarray):
@@ -455,23 +450,17 @@ def joint_posterior_mvn(model: GpModel, XS: np.ndarray) -> tuple[np.ndarray, np.
     return mean, Kss - V.T @ V
 
 
-def joint_posterior_samples(model: GpModel, XS: np.ndarray, n_samples: int,
-                            seed: int | None = None,
-                            base_normals: np.ndarray | None = None) -> np.ndarray:
+def joint_posterior_samples(model: GpModel, XS: np.ndarray,
+                            base_normals: np.ndarray) -> np.ndarray:
     """Draws from the joint posterior at XS, shape (n_samples, |XS|).
 
-    Standardized units. Either a seed or a fixed (n_samples, |XS|) matrix of
-    standard-normal base draws must be supplied; fixed base draws keep the
-    sample path deterministic while XS varies.
+    Standardized units. ``base_normals`` is an (n_samples, |XS|) matrix of
+    standard-normal base draws, one row per sample; holding it fixed keeps
+    the sample path deterministic while XS varies.
     """
     mean, cov = joint_posterior_mvn(model, XS)
-    q = mean.shape[0]
     L, _ = _chol_with_jitter(cov)
-    if base_normals is None:
-        if seed is None:
-            raise ValueError("need a seed or base_normals")
-        base_normals = np.random.default_rng(seed).standard_normal((n_samples, q))
-    elif base_normals.shape != (n_samples, q):
+    if base_normals.ndim != 2 or base_normals.shape[1] != mean.shape[0]:
         raise ValueError("base_normals shape mismatch")
     return mean[None, :] + base_normals @ L.T
 

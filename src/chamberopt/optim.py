@@ -8,8 +8,6 @@ draws make the surface deterministic within one run.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +20,8 @@ from .space import scrambled_sobol
 
 _STEP_INIT = 0.25
 _STEP_MIN = 1e-4
+# a pattern-search sweep that gains less than this ends the restart
+_GAIN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class OptimizerBudget:
     raw_samples: int = 256
     restarts: int = 10
     max_iters_per_restart: int = 200
-    convergence_tol: float = 1e-6
 
     def __post_init__(self):
         for name in ("raw_samples", "restarts", "max_iters_per_restart"):
@@ -39,15 +38,9 @@ class OptimizerBudget:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.raw_samples, self.restarts, self.max_iters_per_restart) < 1:
             raise ValueError("budget counts must be >= 1")
-        value = self.convergence_tol
-        # NaN fails the comparison, and an int beyond the float range fails it too
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not 0 < value <= sys.float_info.max):
-            raise ValueError(
-                f"convergence_tol must be a positive finite number, got {value!r}")
 
 
-def _pattern_search(objective, x0, f0, max_iters, tol):
+def _pattern_search(objective, x0, f0, max_iters):
     """Coordinate pattern search with shrinking step, projected to [0, 1]."""
     x, fx = x0.copy(), f0
     step = _STEP_INIT
@@ -70,7 +63,7 @@ def _pattern_search(objective, x0, f0, max_iters, tol):
             step *= 0.5
             if step < _STEP_MIN:
                 break
-        elif gain < tol:
+        elif gain < _GAIN_TOL:
             break
     return x, fx
 
@@ -90,13 +83,11 @@ def propose_batch(model_k: GpModel, model_v: GpModel, config: AcquisitionConfig,
 
     if incumbent_value is None:
         def acquisition(XS):
-            return q_feasibility_mc(model_v, XS, config.constraint_threshold,
-                                    config.mc_samples, base_v=base_v)
+            return q_feasibility_mc(model_v, XS, config.constraint_threshold, base_v)
     else:
         def acquisition(XS):
             return qcei_mc(model_k, model_v, XS, incumbent_value,
-                           config.constraint_threshold, config.mc_samples,
-                           base_k=base_k, base_v=base_v)
+                           config.constraint_threshold, base_k, base_v)
 
     def objective(flat):
         # a numeric failure scores this one candidate batch, not the proposal
@@ -112,8 +103,7 @@ def propose_batch(model_k: GpModel, model_v: GpModel, config: AcquisitionConfig,
     best_x, best_f = raw[order[0]], scores[order[0]]
     for idx in order:
         x, f = _pattern_search(objective, raw[idx], scores[idx],
-                               budget.max_iters_per_restart,
-                               budget.convergence_tol)
+                               budget.max_iters_per_restart)
         if f > best_f:
             best_x, best_f = x, f
     return best_x.reshape(q, d)

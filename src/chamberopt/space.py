@@ -103,14 +103,12 @@ class ParameterSpace:
         return cls(tuple(dims))
 
 
-def latin_hypercube(space: ParameterSpace, n: int, seed: int,
-                    midpoint: bool = False) -> np.ndarray:
+def latin_hypercube(space: ParameterSpace, n: int, seed: int) -> np.ndarray:
     """Stratified space-filling sample of n unit-cube points.
 
     Each dimension's n coordinates occupy the n equal strata of [0, 1) exactly
-    once, with a uniform random offset within the stratum (or the stratum
-    midpoint when ``midpoint`` is set). Plain permutation LHS, no maximin
-    refinement. Deterministic given the seed.
+    once, with a uniform random offset within the stratum. Plain permutation
+    LHS, no maximin refinement. Deterministic given the seed.
     """
     if n < 1:
         raise ValueError("latin hypercube sample count must be >= 1")
@@ -119,8 +117,7 @@ def latin_hypercube(space: ParameterSpace, n: int, seed: int,
     u = np.empty((n, d))
     for j in range(d):
         perm = rng.permutation(n)
-        offset = 0.5 if midpoint else rng.uniform(size=n)
-        u[:, j] = (perm + offset) / n
+        u[:, j] = (perm + rng.uniform(size=n)) / n
     return u
 
 

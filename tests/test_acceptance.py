@@ -102,8 +102,9 @@ def test_criterion_2_lml_gradient():
 # ---------------------------------------------------------------- criterion 3
 
 def _mc_payoff_samples(mk, mv, x, best, n, seed):
-    """Per-sample constrained improvements at a single point, matching the
-    qcei_mc sampling scheme (one rng -> base_k then base_v)."""
+    """Per-sample constrained improvements at a single point, with the
+    base normals drawn as propose_batch draws them (one rng -> base_k then
+    base_v)."""
     rng = np.random.default_rng(seed)
     base_k = rng.standard_normal((n, 1))
     base_v = rng.standard_normal((n, 1))
@@ -136,14 +137,15 @@ def test_criterion_3_mc_vs_closed_form():
 
         n = 10**6
         payoff, bk, bv = _mc_payoff_samples(mk, mv, x, inc, n, seed=500 + t)
-        est = qcei_mc(mk, mv, x[None, :], inc, THRESHOLD, n,
-                      base_k=bk, base_v=bv)
+        est = qcei_mc(mk, mv, x[None, :], inc, THRESHOLD, base_k=bk, base_v=bv)
         assert est == pytest.approx(payoff.mean(), rel=1e-9)
         se = payoff.std() / np.sqrt(n)
         assert abs(est - cf) <= 3 * se + 1e-12
 
-        est_small = qcei_mc(mk, mv, x[None, :], inc, THRESHOLD, 1024,
-                            seed=900 + t)
+        small = np.random.default_rng(900 + t)
+        est_small = qcei_mc(mk, mv, x[None, :], inc, THRESHOLD,
+                            base_k=small.standard_normal((1024, 1)),
+                            base_v=small.standard_normal((1024, 1)))
         if cf > 0.01:
             checked_small += 1
             assert abs(est_small - cf) / cf < 0.10

@@ -162,6 +162,13 @@ def _closed_form_at(mk, mv, x, best, thr):
     return constrained_ei(gk, gv, best, thr)
 
 
+def _base(seed, n, q):
+    """Objective then constraint base normals from one generator, in the
+    order propose_batch draws them."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, q)), rng.standard_normal((n, q))
+
+
 def test_qcei_q1_converges_to_closed_form():
     rng = np.random.default_rng(2)
     mk, mv = _models(rng)
@@ -169,7 +176,7 @@ def test_qcei_q1_converges_to_closed_form():
     best, thr = 120.0, 25.0
     cf = _closed_form_at(mk, mv, x, best, thr)
     n = 10**6
-    est = qcei_mc(mk, mv, x[None, :], best, thr, n, seed=3)
+    est = qcei_mc(mk, mv, x[None, :], best, thr, *_base(3, n, 1))
     gk = destandardize(mk, posterior_at(mk, x))
     se = 3 * gk.std / np.sqrt(n)        # conservative bound on the MC error
     assert abs(est - cf) < max(3 * se, 1e-3)
@@ -180,8 +187,8 @@ def test_qcei_duplicate_points_add_nothing():
     mk, mv = _models(rng)
     x = np.array([0.45, 0.8])
     best, thr = 120.0, 25.0
-    single = qcei_mc(mk, mv, x[None, :], best, thr, 10**5, seed=5)
-    triple = qcei_mc(mk, mv, np.tile(x, (3, 1)), best, thr, 10**5, seed=5)
+    single = qcei_mc(mk, mv, x[None, :], best, thr, *_base(5, 10**5, 1))
+    triple = qcei_mc(mk, mv, np.tile(x, (3, 1)), best, thr, *_base(5, 10**5, 3))
     assert triple == pytest.approx(single, abs=3e-3)
 
 
@@ -190,7 +197,7 @@ def test_qcei_deeply_infeasible_is_zero():
     mk, mv = _models(rng)
     xs = rng.uniform(size=(3, 2))
     # threshold far below any plausible constraint draw
-    est = qcei_mc(mk, mv, xs, 0.0, -100.0, 10**4, seed=7)
+    est = qcei_mc(mk, mv, xs, 0.0, -100.0, *_base(7, 10**4, 3))
     assert est < 1e-6
 
 
@@ -198,8 +205,8 @@ def test_qcei_deterministic_given_seed():
     rng = np.random.default_rng(8)
     mk, mv = _models(rng)
     xs = rng.uniform(size=(4, 2))
-    a = qcei_mc(mk, mv, xs, 120.0, 25.0, 1024, seed=9)
-    b = qcei_mc(mk, mv, xs, 120.0, 25.0, 1024, seed=9)
+    a = qcei_mc(mk, mv, xs, 120.0, 25.0, *_base(9, 1024, 4))
+    b = qcei_mc(mk, mv, xs, 120.0, 25.0, *_base(9, 1024, 4))
     assert a == b
 
 
@@ -213,7 +220,7 @@ def test_qcei_monotone_in_batch_with_shared_base():
     pts = rng.uniform(size=(qmax, 2))
     prev = -np.inf
     for q in range(1, qmax + 1):
-        est = qcei_mc(mk, mv, pts[:q], 120.0, 25.0, n,
+        est = qcei_mc(mk, mv, pts[:q], 120.0, 25.0,
                       base_k=base_k[:, :q], base_v=base_v[:, :q])
         # nested Cholesky keeps shared points' draws identical, so the
         # per-sample max cannot shrink
@@ -229,7 +236,7 @@ def test_mc_rate_of_convergence():
     cf = _closed_form_at(mk, mv, x, best, thr)
     errs = []
     for n in (10**3, 10**4, 10**5, 10**6):
-        reps = [abs(qcei_mc(mk, mv, x[None, :], best, thr, n, seed=s) - cf)
+        reps = [abs(qcei_mc(mk, mv, x[None, :], best, thr, *_base(s, n, 1)) - cf)
                 for s in range(5)]
         errs.append(np.mean(reps))
     # mean error at 10^6 samples should be ~sqrt(1000)x below 10^3 samples
@@ -260,9 +267,11 @@ def test_q_feasibility_mc_bounds():
     rng = np.random.default_rng(13)
     mk, mv = _models(rng)
     xs = rng.uniform(size=(3, 2))
-    p = q_feasibility_mc(mv, xs, 25.0, 4096, seed=14)
+    p = q_feasibility_mc(mv, xs, 25.0,
+                         np.random.default_rng(14).standard_normal((4096, 3)))
     assert 0.0 <= p <= 1.0
-    assert q_feasibility_mc(mv, xs, 1000.0, 1024, seed=15) == 1.0
+    base_v = np.random.default_rng(15).standard_normal((1024, 3))
+    assert q_feasibility_mc(mv, xs, 1000.0, base_v) == 1.0
 
 
 def test_acquisition_config_validation():

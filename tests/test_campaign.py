@@ -203,7 +203,6 @@ def _states_equal(a: CampaignState, b: CampaignState):
     assert a.iteration == b.iteration
     assert a.rng_seed == b.rng_seed
     assert a.evaluator == b.evaluator
-    assert a.doe_n == b.doe_n
     assert a.pending == b.pending
     assert len(a.dataset) == len(b.dataset)
     for ra, rb in zip(a.dataset, b.dataset):

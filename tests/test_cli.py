@@ -62,8 +62,8 @@ def test_unknown_flag_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, field", [
-    (["--tol", "nan"], "convergence_tol"),
-    (["--tol", "0"], "convergence_tol"),
+    (["--tol", "1e-6"], "--tol"),                 # removed flag
+    (["--iters", "-1"], "iters"),
     (["--threshold", "nan"], "constraint_threshold"),
 ])
 def test_invalid_run_value_is_usage_error(tmp_path, capsys, flags, field):
@@ -190,13 +190,16 @@ def _nan_k(doc):
     doc["dataset"][2]["k"] = float("nan")
 
 
-def _as_old_version(version, kind="cei"):
+def _as_old_version(version, kind="cei", tol=1e-6):
     """Edit a current state file into the given older version's layout."""
     def edit(doc):
-        assert doc["version"] == 4 and "lhs_midpoint" not in doc
-        doc.update(version=version, lhs_midpoint=False,
-                   fitted_standardize_k={"center": 1.0, "scale": 2.0},
-                   fitted_standardize_v={"center": 0.0, "scale": 3.0})
+        assert doc["version"] == 5 and "doe_n" not in doc
+        doc.update(version=version, doe_n=4)
+        doc["budget"]["convergence_tol"] = tol
+        if version < 4:
+            doc.update(lhs_midpoint=False,
+                       fitted_standardize_k={"center": 1.0, "scale": 2.0},
+                       fitted_standardize_v={"center": 0.0, "scale": 3.0})
         if version < 3:
             doc["acq"] = {"kind": kind, **doc["acq"], "ucb_beta": 2.0}
         if version == 1:
@@ -272,6 +275,12 @@ def _nan_threshold(cfg):
     cfg["acq"]["constraint_threshold"] = float("nan")
 
 
+# budget.convergence_tol has been removed: init refuses the key whatever
+# its value, the 1e-6 every campaign used included
+def _fixed_tol(cfg):
+    cfg["budget"]["convergence_tol"] = 1e-6
+
+
 def _boolean_tol(cfg):
     cfg["budget"]["convergence_tol"] = True
 
@@ -282,6 +291,14 @@ def _string_tol(cfg):
 
 def _nan_tol(cfg):
     cfg["budget"]["convergence_tol"] = float("nan")
+
+
+def _lhs_midpoint(cfg):
+    cfg["lhs_midpoint"] = True
+
+
+def _unknown_top_level_key(cfg):
+    cfg["bogus"] = 1
 
 
 def _top_level_list(cfg):
@@ -321,6 +338,9 @@ def _acq_kind(cfg):
     (_boolean_tol, "convergence_tol"),
     (_string_tol, "convergence_tol"),
     (_nan_tol, "convergence_tol"),
+    (_fixed_tol, "convergence_tol"),
+    (_lhs_midpoint, "lhs_midpoint"),
+    (_unknown_top_level_key, "bogus"),
     (_top_level_list, "JSON object"),
     (_unknown_evaluator, "evaluator"),
     (_null_lower, "space[1]"),
@@ -339,7 +359,7 @@ def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
     assert not (d / "state.json").exists()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_state_version_resumes_like_current(tmp_path, capsys, version):
     current = _doe_ingested(tmp_path)
     old = tmp_path / "camp_old"
@@ -353,6 +373,56 @@ def test_old_state_version_resumes_like_current(tmp_path, capsys, version):
     doc = json.loads((old / "state.json").read_text())
     assert doc["version"] == STATE_VERSION and "kind" not in doc["acq"]
     assert "lhs_midpoint" not in doc and "fitted_standardize_k" not in doc
+    assert "doe_n" not in doc and "convergence_tol" not in doc["budget"]
+
+
+def test_old_state_with_other_tolerance_is_io_error(tmp_path, capsys):
+    d = _doe_ingested(tmp_path)
+    before = _edit_state(d, _as_old_version(4, tol=1e-3))
+    capsys.readouterr()
+    assert main(["propose", "--dir", str(d)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "convergence_tol" in err and "Traceback" not in err
+    assert (d / "state.json").read_bytes() == before
+
+
+def _int_id(doc):
+    doc["pending"][0]["id"] = 5
+
+
+def _duplicate_id(doc):
+    doc["pending"][1]["id"] = doc["pending"][0]["id"]
+
+
+def _short_x(doc):
+    del doc["pending"][0]["x"][-1]
+
+
+def _string_coordinate(doc):
+    doc["pending"][0]["x"][0] = str(doc["pending"][0]["x"][0])
+
+
+def _out_of_bounds_x(doc):
+    doc["pending"][0]["x"][0] = 1e6
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (_int_id, "pending[0]"),
+    (_duplicate_id, "pending[1]"),
+    (_short_x, "pending[0]"),
+    (_string_coordinate, "pending[0]"),
+    (_out_of_bounds_x, "pending[0]"),
+])
+def test_corrupt_pending_entry_is_io_error(tmp_path, capsys, corrupt, field):
+    d = tmp_path / "camp"
+    main(["init", "--config", str(_config(tmp_path)), "--dir", str(d)])
+    _answer(d / "proposals_iter0.csv", d / "r0.csv")
+    before = _edit_state(d, corrupt)
+    capsys.readouterr()
+    assert main(["ingest", str(d / "r0.csv"), "--dir", str(d)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert (d / "state.json").read_bytes() == before
 
 
 @pytest.mark.parametrize("command, field, value", [
@@ -397,18 +467,31 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path):
     # costs it a few tenths of a second and tens of MB; with scipy made
     # unimportable the commands must still run
     src = os.path.dirname(os.path.dirname(chamberopt.__file__))
-    code = ("import sys\n"
-            "class NoScipy:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name.split('.')[0] == 'scipy':\n"
-            "            raise ModuleNotFoundError(name)\n"
-            "sys.meta_path.insert(0, NoScipy())\n"
-            "from chamberopt.cli import main\n"
-            f"assert main({_run_args(tmp_path)!r}) == 0\n"
-            f"assert main(['report', '--dir', {str(tmp_path)!r}]) == 0\n"
-            f"assert main(['slices', '--dir', {str(tmp_path)!r}, "
-            "'--resolution', '5']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+    def scipy_modules_after(*argvs):
+        code = ("import sys\n"
+                "class NoScipy:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name.split('.')[0] == 'scipy':\n"
+                "            raise ModuleNotFoundError(name)\n"
+                "sys.meta_path.insert(0, NoScipy())\n"
+                "from chamberopt.cli import main\n"
+                + "".join(f"assert main({list(map(str, a))!r}) == 0\n"
+                          for a in argvs)
+                + "print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        return out.stdout.strip().splitlines()[-1]
+
+    assert scipy_modules_after(_run_args(tmp_path),
+                               ["report", "--dir", tmp_path],
+                               ["slices", "--dir", tmp_path,
+                                "--resolution", "5"]) == "[]"
+    d = tmp_path / "camp"
+    assert scipy_modules_after(["init", "--config", _config(tmp_path),
+                                "--dir", d]) == "[]"
+    _answer(d / "proposals_iter0.csv", d / "r0.csv")
+    assert scipy_modules_after(["ingest", d / "r0.csv", "--dir", d],
+                               ["propose", "--dir", d]) == "[]"

@@ -164,7 +164,7 @@ def test_grid_oracle_dominance_2d():
         zv = r.standard_normal((mc, 1))[:, 0]
         G, vals = _mc_surface_on_grid(mk, mv, best, thr, zk, zv)
         from chamberopt.acquisition import qcei_mc
-        found = qcei_mc(mk, mv, batch, best, thr, mc,
+        found = qcei_mc(mk, mv, batch, best, thr,
                         base_k=zk[:, None], base_v=zv[:, None])
         grid_max = float(np.max(vals))
         assert found >= 0.999 * grid_max or grid_max < 1e-12
@@ -174,4 +174,4 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         OptimizerBudget(raw_samples=0)
     with pytest.raises(ValueError):
-        OptimizerBudget(convergence_tol=0.0)
+        OptimizerBudget(max_iters_per_restart=0)

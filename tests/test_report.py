@@ -115,7 +115,7 @@ def test_slice_ends_revert_toward_prior():
         ds.append(Observation(tuple(x), float(k), 20.0))
     st = CampaignState(space=PRECHAMBER_SPACE,
                        acq=AcquisitionConfig(constraint_threshold=25.0),
-                       budget=SMALL_BUDGET, dataset=ds, doe_n=8, rng_seed=0,
+                       budget=SMALL_BUDGET, dataset=ds, rng_seed=0,
                        evaluator="proxy")
     mk, _ = fit_models(st)
     inc = incumbent(ds, 25.0)

@@ -91,12 +91,6 @@ def test_lhs_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_lhs_midpoint_placement():
-    u = latin_hypercube(PRECHAMBER_SPACE, 4, 0, midpoint=True)
-    frac = u * 4 - np.floor(u * 4)
-    np.testing.assert_allclose(frac, 0.5)
-
-
 def test_lhs_rejects_zero_count():
     with pytest.raises(ValueError):
         latin_hypercube(PRECHAMBER_SPACE, 0, 0)
