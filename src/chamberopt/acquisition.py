@@ -92,27 +92,34 @@ def incumbent(dataset, threshold: float) -> Incumbent | None:
 
 def _raw_joint_samples(model: GpModel, XS, base):
     s = joint_posterior_samples(model, XS, base)
-    return model.standardize.scale * s + model.standardize.center
+    s *= model.standardize.scale
+    s += model.standardize.center
+    return s
 
 
 def qcei_mc(model_k: GpModel, model_v: GpModel, XS: np.ndarray, best: float,
-            threshold: float, base_k: np.ndarray, base_v: np.ndarray) -> float:
+            threshold: float, base_k: np.ndarray,
+            base_v: np.ndarray) -> float | np.ndarray:
     """MC estimate of E[max_i 1(v_i <= threshold) * max(0, k_i - best)].
 
     Joint posterior draws per channel (channels independent), raw units.
-    ``base_k`` and ``base_v`` are (n_samples, |XS|) standard-normal base
-    draws for the objective and the constraint; the estimate is a
-    deterministic function of XS for fixed base draws.
+    ``base_k`` and ``base_v`` are (n_samples, q) standard-normal base draws
+    for the objective and the constraint; the estimate is a deterministic
+    function of the batch for fixed base draws. A (q, d) batch XS gives a
+    float; an (R, q, d) stack gives R values, each batch scored with the
+    same base draws (see ``gp.joint_posterior_samples``).
     """
+    # the constraint draws shrink to their feasibility mask before the
+    # objective draws are made, so one channel's draws are held at a time
+    feasible = _raw_joint_samples(model_v, XS, base_v) <= threshold
     ks = _raw_joint_samples(model_k, XS, base_k)
-    vs = _raw_joint_samples(model_v, XS, base_v)
-    return float(mc_batch_improvement(ks, vs, best, threshold))
+    return mc_batch_improvement(ks, feasible, best)
 
 
 def q_feasibility_mc(model_v: GpModel, XS: np.ndarray, threshold: float,
-                     base_v: np.ndarray) -> float:
+                     base_v: np.ndarray) -> float | np.ndarray:
     """MC estimate of P(any batch point feasible); fallback acquisition when
-    no feasible incumbent exists yet. ``base_v`` is an (n_samples, |XS|)
-    matrix of standard-normal base draws for the constraint."""
-    vs = _raw_joint_samples(model_v, XS, base_v)
-    return float(mc_batch_feasibility(vs, threshold))
+    no feasible incumbent exists yet. ``base_v`` is an (n_samples, q) matrix
+    of standard-normal base draws for the constraint. Takes a (q, d) batch
+    or an (R, q, d) stack, as ``qcei_mc`` does."""
+    return mc_batch_feasibility(_raw_joint_samples(model_v, XS, base_v) <= threshold)

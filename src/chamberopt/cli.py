@@ -39,9 +39,11 @@ def _add_dir_arg(p):
 
 
 def _add_budget_args(p):
-    p.add_argument("--raw-samples", type=int, default=256)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=200)
+    # the defaults are the dataclass's, so the CLI cannot drift from them
+    p.add_argument("--raw-samples", type=int, default=OptimizerBudget.raw_samples)
+    p.add_argument("--restarts", type=int, default=OptimizerBudget.restarts)
+    p.add_argument("--max-iters", type=int,
+                   default=OptimizerBudget.max_iters_per_restart)
 
 
 def _budget(args) -> OptimizerBudget:
@@ -72,11 +74,11 @@ def _parser():
     sp.add_argument("--evaluator", choices=sorted(EVALUATORS), default="proxy")
     sp.add_argument("--doe", type=int, default=10)
     sp.add_argument("--iters", type=int, default=3)
-    sp.add_argument("--q", type=int, default=5)
+    sp.add_argument("--q", type=int, default=AcquisitionConfig.batch_size)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threshold", type=float, default=None,
                     help="constraint threshold (default: evaluator's own)")
-    sp.add_argument("--mc-samples", type=int, default=1024)
+    sp.add_argument("--mc-samples", type=int, default=AcquisitionConfig.mc_samples)
     _add_budget_args(sp)
 
     sp = sub.add_parser("report", help="write result tables")
@@ -153,6 +155,8 @@ def _cmd_ingest(args):
 
 
 def _cmd_run(args):
+    if args.seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     _, space, default_thr = EVALUATORS[args.evaluator]
     thr = args.threshold if args.threshold is not None else default_thr
     acq = AcquisitionConfig(constraint_threshold=thr,

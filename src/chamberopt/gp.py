@@ -8,8 +8,8 @@ marginal likelihood.
 numpy is the only numeric dependency here: each ``scipy`` subpackage import
 costs a command-line process (every ask-tell step is one) a few tenths of a
 second and tens of MB. A model keeps the inverse of its Cholesky factor, so
-posterior queries are matrix products, and ``_minimize_box`` takes the place
-of scipy's L-BFGS-B with the same stopping rules.
+posterior queries are matrix products, and ``boxmin.minimize_box`` takes the
+place of scipy's L-BFGS-B with the same stopping rules.
 
 The likelihood gradient is the contraction 1/2 <alpha alpha^T - Kn^-1, dK/dtheta>
 (Rasmussen & Williams 2006, GPML eq. 5.9), which ``kernels.matern52_cross_grad``
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxmin import minimize_box
 from .errors import DegenerateDataError, NumericError
 from .kernels import matern52_cross, matern52_cross_grad
 
@@ -35,17 +36,6 @@ _N_RESTARTS = 8
 
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
-
-# stopping rules and budget of scipy's L-BFGS-B defaults (pgtol, factr,
-# maxfun), and the sufficient-decrease and curvature constants of its
-# line search
-_PGTOL = 1e-5
-_FTOL = 1e7 * np.finfo(float).eps
-_MAX_EVALS = 15000
-_WOLFE_C1 = 1e-3
-_WOLFE_C2 = 0.9
-_MAX_TRIALS = 20            # function values per line search
-
 
 @dataclass(frozen=True)
 class StandardizationSpec:
@@ -209,146 +199,12 @@ def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
     return lml, np.append(grad_ls, grad_s2)
 
 
-def _cubic_step(lo, hi) -> float:
-    """Minimizer of the cubic through two trial points (a, f, slope), kept
-    a tenth of the bracket away from either end; bisection when the cubic
-    has no minimizer or a value is not finite."""
-    (a0, f0, s0), (a1, f1, s1) = lo[:3], hi[:3]
-    left, right = min(a0, a1), max(a0, a1)
-    margin = 0.1 * (right - left)
-    if np.isfinite(f1) and np.isfinite(s1):
-        d1 = s0 + s1 - 3.0 * (f0 - f1) / (a0 - a1)
-        rad = d1 * d1 - s0 * s1
-        if rad >= 0.0:
-            d2 = np.copysign(np.sqrt(rad), a1 - a0)
-            denom = s1 - s0 + 2.0 * d2
-            if denom != 0.0:
-                a = a1 - (a1 - a0) * (s1 + d2 - d1) / denom
-                return min(max(a, left + margin), right - margin)
-    return 0.5 * (a0 + a1)
-
-
-def _wolfe_step(phi, f0: float, slope0: float, a: float, a_max: float):
-    """A step length a in (0, a_max] meeting the strong Wolfe conditions.
-
-    ``phi(a)`` returns (f, slope, point) on the search ray. Bracketing with
-    fourfold extrapolation up to a_max, then safeguarded cubic interpolation
-    inside the bracket (Nocedal & Wright, Alg. 3.5-3.6; the conditions of
-    More & Thuente 1994). A non-finite f counts as a failed trial point. At
-    a_max, sufficient decrease alone is accepted: the bound stops the step.
-    Returns the accepted point, the best point with sufficient decrease
-    when the trials run out, or None when no trial decreased f enough.
-    """
-    lo = (0.0, f0, slope0, None)    # best trial with sufficient decrease
-    hi = None                       # other end of the bracket, once found
-    for _ in range(_MAX_TRIALS):
-        if hi is not None:
-            if abs(hi[0] - lo[0]) <= 1e-10 * max(hi[0], lo[0]):
-                break
-            a = _cubic_step(lo, hi)
-        f, slope, point = phi(a)
-        trial = (a, f, slope, point)
-        if np.isfinite(f) and abs(f - f0) <= _FTOL * max(abs(f0), abs(f), 1.0):
-            return point            # a change below the stopping tolerance
-        if not (np.isfinite(f) and f <= f0 + _WOLFE_C1 * a * slope0 and f < lo[1]):
-            hi = trial
-        elif abs(slope) <= -_WOLFE_C2 * slope0:
-            return point
-        elif hi is None:
-            if slope >= 0.0:
-                lo, hi = trial, lo
-            elif a >= a_max:
-                return point
-            else:
-                lo = trial
-                a = min(4.0 * a, a_max)
-        else:
-            if slope * (hi[0] - lo[0]) >= 0.0:
-                hi = lo
-            lo = trial
-    return lo[3]
-
-
-def _minimize_box(fun, x0: np.ndarray, lb: np.ndarray,
-                  ub: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ``fun(x) -> (f, grad)`` over the box lb <= x <= ub.
-
-    Projected quasi-Newton: a variable on a bound whose gradient points out
-    of the box is held there; the free ones take a BFGS step (dense inverse
-    Hessian over the free variables), searched by ``_wolfe_step`` up to
-    where the first free variable meets its bound. Whenever the free set
-    changes, the inverse Hessian restarts from the identity times the
-    latest curvature scale s'y / y'y. If the step would push a free
-    variable on a bound out of the box, a scaled steepest-descent step
-    replaces it. Stops by L-BFGS-B's default rules: projected-gradient
-    inf-norm <= 1e-5, relative reduction of f <= 1e7 * eps, or no decrease
-    along steepest descent. Returns (x, f); a non-finite f at the start
-    returns at once.
-    """
-    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
-    f, g = fun(x)
-    evals = 1
-    free = H = scale = None         # scale: s'y / y'y of the last update
-    while np.isfinite(f) and evals < _MAX_EVALS:
-        if np.max(np.abs(np.clip(x - g, lb, ub) - x)) <= _PGTOL:
-            break
-        now_free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
-        if free is None or np.any(now_free != free):
-            free = now_free
-            H = np.eye(np.count_nonzero(free)) * (scale or 1.0)
-        d = np.zeros_like(x)
-        d[free] = -H @ g[free]
-        if np.any((x <= lb) & (d < 0)) or np.any((x >= ub) & (d > 0)) or g @ d >= 0.0:
-            H = np.eye(np.count_nonzero(free)) * (scale or 1.0)
-            d[free] = -H @ g[free]
-        slope0 = g @ d
-        if slope0 >= 0.0:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(d > 0, (ub - x) / d, np.where(d < 0, (lb - x) / d, np.inf))
-        hit = int(np.argmin(room))
-        a_max = room[hit]
-        edge = ub[hit] if d[hit] > 0 else lb[hit]
-
-        def phi(a):
-            nonlocal evals
-            xa = np.clip(x + a * d, lb, ub)
-            if a >= a_max:
-                xa[hit] = edge      # land exactly on the bound
-            fa, ga = fun(xa)
-            evals += 1
-            return fa, ga @ d, (xa, fa, ga)
-
-        # without curvature yet, a first trial of unit length, as L-BFGS-B
-        a_init = 1.0 if scale else 1.0 / np.linalg.norm(d)
-        step = _wolfe_step(phi, f, slope0, min(a_init, a_max), a_max)
-        if step is None:
-            if scale is None:
-                break
-            free = scale = None     # retry once from the identity
-            continue
-        x_new, f_new, g_new = step
-        reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
-        if reduction <= _FTOL:
-            return (x_new, f_new) if f_new < f else (x, f)
-        s, y = (x_new - x)[free], (g_new - g)[free]
-        sy = s @ y
-        if sy > np.finfo(float).eps * (y @ y):
-            if scale is None:
-                H = np.eye(s.size) * (sy / (y @ y))
-            scale = sy / (y @ y)
-            V = np.eye(s.size) - np.outer(s, y) / sy
-            H = V @ H @ V.T + np.outer(s, s) / sy
-        x, f, g = x_new, f_new, g_new
-    return x, f
-
-
 def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
         seed: int) -> GpModel:
     """Fit a GP to unit-cube inputs and raw-unit targets.
 
     Standardizes targets per channel rule, then maximizes the log marginal
-    likelihood by multi-start ``_minimize_box`` on log-parameters.
+    likelihood by multi-start ``minimize_box`` on log-parameters.
     Deterministic given the seed; restart ties are broken by lowest restart
     index.
     """
@@ -392,7 +248,7 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
             p0 = np.append(np.full(d, np.log(0.5)), 0.0)
         else:
             p0 = np.append(rng.uniform(np.log(1e-2), np.log(1e1), size=d), 0.0)
-        p, f = _minimize_box(objective, p0, lb, ub)
+        p, f = minimize_box(objective, p0, lb, ub)
         lml = -f
         if np.isfinite(lml) and lml > best_lml:
             best_lml, best_p = lml, p
@@ -443,26 +299,71 @@ def posterior_at(model: GpModel, x: np.ndarray) -> PosteriorGaussian:
 
 
 def joint_posterior_mvn(model: GpModel, XS: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint posterior mean vector and covariance matrix at a set of points."""
-    XS, mean, V = _cross_solve(model, XS)
-    Kss = matern52_cross(XS, XS, model.hyper.lengthscales,
-                         model.hyper.signal_variance)
-    return mean, Kss - V.T @ V
+    """Joint posterior mean vector and covariance matrix at a set of points.
+
+    A (q, d) XS gives a (q,) mean and a (q, q) covariance; a stack of R
+    batches, (R, q, d), gives (R, q) means and the R diagonal (q, q) blocks
+    of the joint covariance of all R*q points. One kernel call covers the
+    R*q points against the training set and against each other.
+    """
+    XS = np.asarray(XS, dtype=float)
+    q, d = XS.shape[-2:]
+    flat = XS.reshape(-1, d)
+    R = flat.shape[0] // q
+    n = model.train_inputs.shape[0]
+    K = matern52_cross(flat, np.vstack([model.train_inputs, flat]),
+                       model.hyper.lengthscales, model.hyper.signal_variance)
+    Kx = K[:, :n]
+    # one (n, n) x (n, q) product per batch, as for a lone batch: a single
+    # (n, n) x (n, R*q) product is large enough for OpenBLAS to spread over
+    # threads, which costs more than it saves at these sizes
+    V = model.chol_inv @ Kx.reshape(R, q, n).transpose(0, 2, 1)
+    blocks = np.arange(R)
+    Kss = K[:, n:].reshape(R, q, R, q)[blocks, :, blocks, :]
+    cov = Kss - V.transpose(0, 2, 1) @ V
+    mean = Kx @ model.alpha
+    return mean.reshape(XS.shape[:-1]), cov.reshape(XS.shape[:-1] + (q,))
+
+
+def _stacked_cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower factors of a stack of matrices, with no jitter: a stack that
+    fails as a whole is for the caller to factor one matrix at a time."""
+    if not np.isfinite(cov).all():
+        raise NumericError("non-finite covariance matrix in a stack")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NumericError("Cholesky factorization failed in a stack") from None
 
 
 def joint_posterior_samples(model: GpModel, XS: np.ndarray,
                             base_normals: np.ndarray) -> np.ndarray:
-    """Draws from the joint posterior at XS, shape (n_samples, |XS|).
+    """Draws from the joint posterior at the q points of XS, standardized units.
 
-    Standardized units. ``base_normals`` is an (n_samples, |XS|) matrix of
-    standard-normal base draws, one row per sample; holding it fixed keeps
-    the sample path deterministic while XS varies.
+    ``base_normals`` is an (n_samples, q) matrix of standard-normal base
+    draws, one row per sample; holding it fixed keeps the sample path
+    deterministic while XS varies. A (q, d) XS gives (n_samples, q) draws,
+    factored with escalating jitter. A stack of R batches, (R, q, d), gives
+    (R, n_samples, q), every batch drawn from the same base normals: one
+    stacked Cholesky without jitter (``NumericError`` if any block fails)
+    and one product of the base normals with [L_1^T ... L_R^T].
     """
+    XS = np.asarray(XS, dtype=float)
+    if XS.ndim not in (2, 3):
+        raise ValueError("XS must be a (q, d) batch or an (R, q, d) stack")
     mean, cov = joint_posterior_mvn(model, XS)
-    L, _ = _chol_with_jitter(cov)
-    if base_normals.ndim != 2 or base_normals.shape[1] != mean.shape[0]:
+    q = cov.shape[-1]
+    if base_normals.ndim != 2 or base_normals.shape[1] != q:
         raise ValueError("base_normals shape mismatch")
-    return mean[None, :] + base_normals @ L.T
+    if XS.ndim == 2:
+        L = _chol_with_jitter(cov)[0][None]
+    else:
+        L = _stacked_cholesky(cov)
+    R = L.shape[0]
+    samples = base_normals @ L.transpose(2, 0, 1).reshape(q, R * q)
+    samples += mean.reshape(R * q)
+    samples = samples.reshape(-1, R, q).transpose(1, 0, 2)
+    return samples[0] if XS.ndim == 2 else samples
 
 
 def destandardize(model: GpModel, g: PosteriorGaussian) -> PosteriorGaussian:

@@ -167,20 +167,30 @@ def scrambled_sobol(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     child = rng.spawn(1)[0]
     shift = np.dot(child.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32),
                    2 ** np.arange(_SOBOL_BITS, dtype=np.uint32))
-    ltm = np.tril(child.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS),
-                                 dtype=np.uint32)).astype(np.int64)
+    lower = child.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
     diag = np.arange(_SOBOL_BITS)
-    ltm[:, diag, diag] = 1
-    # scrambled column j, bit p (most significant first) is the parity of
-    # row p of the matrix against the bits of direction number j
     msb_first = diag[::-1]
-    v_bits = (_sobol_direction_numbers(dim)[:, :, None] >> msb_first) & 1
-    sv = (((v_bits @ ltm.transpose(0, 2, 1)) & 1) << msb_first).sum(axis=2)
-    # point i+1 = point i XOR the direction column of the lowest zero bit of i
+    # one dimension at a time, so no (dim, bits, bits) int64 array is built
+    sv = np.empty((dim, _SOBOL_BITS), dtype=np.int64)
+    for j, v in enumerate(_sobol_direction_numbers(dim)):
+        ltm = np.tril(lower[j]).astype(np.int64)
+        ltm[diag, diag] = 1
+        # scrambled column c, bit p (most significant first) is the parity
+        # of row p of the matrix against the bits of direction number c
+        v_bits = (v[:, None] >> msb_first) & 1
+        sv[j] = (((v_bits @ ltm.T) & 1) << msb_first).sum(axis=1)
+    del lower
+    # point i+1 = point i XOR the direction column of the lowest zero bit of
+    # i, accumulated in place: one (n, dim) integer array, then its floats
     i = np.arange(n - 1)
     col = np.log2(~i & (i + 1)).astype(np.intp)
-    steps = np.vstack([shift.astype(np.int64)[None, :], sv[:, col].T])
-    return np.bitwise_xor.accumulate(steps, axis=0) * (1.0 / 2 ** _SOBOL_BITS)
+    points = np.empty((n, dim), dtype=np.int64)
+    points[0] = shift
+    np.take(sv.T, col, axis=0, out=points[1:])
+    np.bitwise_xor.accumulate(points, axis=0, out=points)
+    unit = points.astype(np.float64)
+    unit *= 1.0 / 2 ** _SOBOL_BITS
+    return unit
 
 
 # design ranges of the built-in prechamber use case

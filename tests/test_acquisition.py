@@ -279,3 +279,37 @@ def test_acquisition_config_validation():
         AcquisitionConfig(mc_samples=0)
     with pytest.raises(ValueError):
         AcquisitionConfig(constraint_threshold=np.inf)
+
+
+# ------------------------------------------------------------ stacked batches
+
+
+def _acquisitions(mk, mv, q, seed):
+    base_k, base_v = _base(seed, 1024, q)
+    return {"qcei": lambda XS: qcei_mc(mk, mv, XS, 100.0, 25.0, base_k, base_v),
+            "feasibility": lambda XS: q_feasibility_mc(mv, XS, 23.0, base_v)}
+
+
+@pytest.mark.parametrize("q", [1, 5])
+def test_stack_scores_each_batch_as_alone(q):
+    rng = np.random.default_rng(16)
+    mk, mv = _models(rng)
+    stack = rng.uniform(size=(11, q, 2))
+    for name, acq in _acquisitions(mk, mv, q, 17).items():
+        stacked = acq(stack)
+        alone = np.array([acq(X) for X in stack])
+        assert stacked.shape == (11,)
+        assert isinstance(acq(stack[0]), float)
+        assert np.count_nonzero(alone) > len(alone) // 2, name
+        np.testing.assert_allclose(stacked, alone, rtol=1e-10, atol=0.0,
+                                   err_msg=name)
+
+
+def test_batch_scores_the_same_in_different_stacks():
+    rng = np.random.default_rng(18)
+    mk, mv = _models(rng)
+    batch = rng.uniform(size=(1, 5, 2))
+    first = np.concatenate([rng.uniform(size=(4, 5, 2)), batch])
+    second = np.concatenate([batch, rng.uniform(size=(8, 5, 2))])
+    for name, acq in _acquisitions(mk, mv, 5, 19).items():
+        assert acq(first)[-1] == pytest.approx(acq(second)[0], rel=1e-10, abs=0.0)

@@ -65,6 +65,7 @@ def test_unknown_flag_is_usage_error(tmp_path, capsys):
     (["--tol", "1e-6"], "--tol"),                 # removed flag
     (["--iters", "-1"], "iters"),
     (["--threshold", "nan"], "constraint_threshold"),
+    (["--seed", "-1"], "seed"),
 ])
 def test_invalid_run_value_is_usage_error(tmp_path, capsys, flags, field):
     assert main(_run_args(tmp_path, flags)) == EXIT_USAGE

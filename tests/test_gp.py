@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chamberopt import gp
+from chamberopt import boxmin, gp
 from chamberopt.errors import DegenerateDataError, NumericError
 from chamberopt.evaluators import (QUADRATIC_SPACE, benchmark_quadratic,
                                   proxy_prechamber)
@@ -342,7 +342,7 @@ def test_minimize_box_quadratic_with_two_active_bounds():
         r = x - x_star
         return 0.5 * r @ A @ r + c @ r, A @ r + c
 
-    x, f = gp._minimize_box(fun, np.zeros(4), lb, ub)
+    x, f = boxmin.minimize_box(fun, np.zeros(4), lb, ub)
     np.testing.assert_allclose(x, x_star, atol=1e-6)
     assert f == pytest.approx(0.0, abs=1e-10)
     assert len(evals) <= 20
@@ -355,7 +355,7 @@ def test_minimize_box_non_finite_start_returns_at_once():
         evals.append(x)
         return np.inf, np.zeros_like(x)
 
-    x, f = gp._minimize_box(fun, np.array([0.5, 2.0]), np.zeros(2), np.ones(2))
+    x, f = boxmin.minimize_box(fun, np.array([0.5, 2.0]), np.zeros(2), np.ones(2))
     assert not np.isfinite(f) and len(evals) == 1
     np.testing.assert_array_equal(x, [0.5, 1.0])
 

@@ -91,7 +91,8 @@ def test_numeric_failure_scores_one_candidate(monkeypatch):
     real = optim.qcei_mc
 
     def flaky(model_k, model_v, XS, *args, **kwargs):
-        if XS[0, 0] > 0.5:
+        # a (q, d) batch or an (R, q, d) stack fails if any batch in it does
+        if np.any(XS[..., 0, 0] > 0.5):
             raise NumericError("Cholesky factorization failed")
         return real(model_k, model_v, XS, *args, **kwargs)
 
@@ -175,3 +176,24 @@ def test_budget_validation():
         OptimizerBudget(raw_samples=0)
     with pytest.raises(ValueError):
         OptimizerBudget(max_iters_per_restart=0)
+
+
+def test_singular_batch_in_screen_scores_alone():
+    # a batch holding one point twice has a singular posterior covariance,
+    # so the stacked Cholesky of its chunk may fail and the chunk is then
+    # rescored one batch at a time
+    mk, mv = _planted_models([0.6, 0.4], seed=8)
+    rng = np.random.default_rng(9)
+    base_k, base_v = rng.standard_normal((512, 5)), rng.standard_normal((512, 5))
+
+    def acquisition(XS):
+        return optim.qcei_mc(mk, mv, XS, 1.0, 25.0, base_k, base_v)
+
+    stack = rng.uniform(size=(2 * optim._SCREEN_CHUNK + 3, 5, 2))
+    plain = optim._screen(acquisition, stack)
+    singular = stack.copy()
+    singular[3, 1] = singular[3, 0]
+    scores = optim._screen(acquisition, singular)
+    assert scores[3] == optim._score(acquisition, singular[3])
+    others = np.arange(len(stack)) != 3
+    np.testing.assert_allclose(scores[others], plain[others], rtol=1e-10, atol=0.0)
