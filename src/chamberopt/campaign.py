@@ -255,16 +255,21 @@ def _count_from_json(doc, key: str) -> int:
     return v
 
 
+def _numbers(values, n: int) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return (isinstance(values, list) and len(values) == n
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    for c in values))
+
+
 def _pending_from_json(records, space: ParameterSpace):
     pending = {}
     for i, p in enumerate(records):
         x = p.get("x") if isinstance(p, dict) else None
         # NaN and +-inf fail the closed bounds comparison
-        if (not isinstance(x, list) or not isinstance(p.get("id"), str)
-                or p["id"] in pending or len(x) != space.ndim
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                           and d.lower <= c <= d.upper
-                           for c, d in zip(x, space.dims))):
+        if (not _numbers(x, space.ndim) or not isinstance(p.get("id"), str)
+                or p["id"] in pending
+                or not all(d.lower <= c <= d.upper for c, d in zip(x, space.dims))):
             raise ValueError(
                 f"pending[{i}] must be an object with a unique string 'id' and "
                 f"an 'x' of {space.ndim} numbers inside the bounds, got {p!r}")
@@ -334,8 +339,13 @@ def load_state(path: str) -> CampaignState:
         budget = OptimizerBudget(**budget)
         if not isinstance(doc["evaluator"], str):
             raise ValueError(f"'evaluator' must be a string, got {doc['evaluator']!r}")
-        dataset = Dataset(space=space)
-        for r in doc["dataset"]:
+        dataset = Dataset(space=space)      # append checks bounds and duplicates
+        for i, r in enumerate(doc["dataset"]):
+            if not (isinstance(r, dict) and _numbers(r.get("x"), space.ndim)
+                    and _numbers([r.get("k"), r.get("v")], 2)
+                    and isinstance(r.get("tag"), str)):
+                raise ValueError(f"dataset[{i}] needs an 'x' of {space.ndim} numbers, "
+                                 f"numbers 'k' and 'v' and a string 'tag', got {r!r}")
             dataset.append(Observation(tuple(r["x"]), r["k"], r["v"], r["tag"]))
         state = CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,
@@ -345,7 +355,7 @@ def load_state(path: str) -> CampaignState:
             pending=_pending_from_json(doc["pending"], space),
             fitted_hyper_k=_hyper_from_json(doc["fitted_hyper_k"]),
             fitted_hyper_v=_hyper_from_json(doc["fitted_hyper_v"]))
-    except (KeyError, TypeError, ValueError, BoundsViolationError,
-            DataError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            BoundsViolationError, DataError) as e:
         raise StateFileError(f"{path}: malformed state file: {e}") from e
     return state

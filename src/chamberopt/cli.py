@@ -141,8 +141,11 @@ def _cmd_propose(args):
     state = camp.load_state(_state_path(args.dir))
     state = camp.step(state, campaign_dir=args.dir)
     camp.save_state(state, _state_path(args.dir))
-    path = os.path.join(args.dir, f"proposals_iter{state.iteration + 1}.csv")
-    print(f"wrote {path} ({len(state.pending)} proposals)")
+    if state.pending:
+        path = os.path.join(args.dir, f"proposals_iter{state.iteration + 1}.csv")
+        print(f"wrote {path} ({len(state.pending)} proposals)")
+    else:
+        print(f"evaluated iteration {state.iteration} ({len(state.dataset)} rows)")
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
 """Inner-loop maximization of the acquisition surface over the unit cube.
 
-Derivative-free: a raw screen of a scrambled Sobol design (from ``space``,
-next to the Latin hypercube) followed by pattern-search refinement of the
-best starts, jointly over all q*d batch coordinates. Fixed Monte Carlo base
-draws make the surface deterministic within one run.
+Derivative-free: a raw screen of a Latin hypercube design over all q*d batch
+coordinates (``space.unit_latin_hypercube``, the DOE's sampler) followed by
+pattern-search refinement of the best starts. Fixed Monte Carlo base draws
+make the surface deterministic within one run.
 
 The screen scores its candidate batches in stacked chunks of
 ``_SCREEN_CHUNK``: one acquisition call per chunk shares the kernel call,
@@ -12,8 +12,7 @@ batches, which makes a candidate at least twice as cheap as scoring it
 alone. A chunk whose stacked Cholesky fails is rescored one batch at a
 time, so jitter escalation and the -inf score of a failed batch work per
 batch. Four batches per chunk keep the chunk's draws (4 x mc_samples x q
-doubles of one channel at a time) within the memory that building the
-Sobol design already takes.
+doubles of one channel at a time) small next to the process's fixed memory.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .acquisition import AcquisitionConfig, q_feasibility_mc, qcei_mc
 from .errors import NumericError
 # campaign_bench/tracer.py wraps optim.posterior, so the name stays importable
 from .gp import GpModel, posterior  # noqa: F401
-from .space import scrambled_sobol
+from .space import unit_latin_hypercube
 
 _STEP_INIT = 0.25
 _STEP_MIN = 1e-4
@@ -119,7 +118,7 @@ def propose_batch(model_k: GpModel, model_v: GpModel, config: AcquisitionConfig,
             return qcei_mc(model_k, model_v, XS, incumbent_value,
                            config.constraint_threshold, base_k, base_v)
 
-    raw = scrambled_sobol(budget.raw_samples, q * d, rng)
+    raw = unit_latin_hypercube(budget.raw_samples, q * d, rng)
     scores = _screen(acquisition, raw.reshape(-1, q, d))
     order = np.argsort(-scores, kind="stable")[:budget.restarts]
 

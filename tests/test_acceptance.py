@@ -5,6 +5,7 @@ run full campaigns and take a few minutes.
 """
 
 import csv
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import chamberopt
 from chamberopt.acquisition import (AcquisitionConfig, constrained_ei,
                                     expected_improvement, incumbent,
                                     probability_feasible, qcei_mc)
@@ -315,7 +317,10 @@ def test_criterion_9_protocol_robustness(tmp_path):
         assert a == b
     assert st3.acq == st2.acq and st3.budget == st2.budget
 
-    # fixed-seed embedded runs are bit-identical across two executions
+    # fixed-seed embedded runs are bit-identical across two executions; the
+    # subprocess imports chamberopt from where this test imported it
+    src = os.path.dirname(os.path.dirname(chamberopt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
     cmd = [sys.executable, "-m", "chamberopt.cli", "run", "--evaluator",
            "proxy", "--doe", "5", "--iters", "1", "--q", "2", "--seed", "3",
            "--raw-samples", "32", "--restarts", "2", "--max-iters", "15",
@@ -324,7 +329,8 @@ def test_criterion_9_protocol_robustness(tmp_path):
     for sub in ("a", "b"):
         d = tmp_path / sub
         d.mkdir()
-        r = subprocess.run(cmd + ["--dir", str(d)], capture_output=True)
+        r = subprocess.run(cmd + ["--dir", str(d)], capture_output=True,
+                           env=env)
         assert r.returncode == 0, r.stderr.decode()
         blobs.append((d / "state.json").read_bytes())
     assert blobs[0] == blobs[1]

@@ -212,8 +212,31 @@ def _removed_ucb_kind(doc):
     _as_old_version(2, kind="ucb")(doc)
 
 
+def _boolean_k(doc):
+    doc["dataset"][0]["k"] = True
+
+
+def _boolean_v(doc):
+    doc["dataset"][1]["v"] = False
+
+
+def _int_tag(doc):
+    doc["dataset"][2]["tag"] = 5
+
+
+def _boolean_coordinate(doc):
+    # true is 1.0 to Python, which lies inside d_bore's [0.75, 1.15]
+    doc["dataset"][3]["x"][1] = True
+
+
+def _huge_int_k(doc):
+    doc["dataset"][0]["k"] = int("9" * 400)
+
+
 @pytest.mark.parametrize("corrupt", [_out_of_bounds, _duplicate_row, _nan_k,
-                                     _removed_ucb_kind])
+                                     _removed_ucb_kind, _boolean_k, _boolean_v,
+                                     _int_tag, _boolean_coordinate,
+                                     _huge_int_k])
 def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     d = _doe_ingested(tmp_path)
     before = _edit_state(d, corrupt)
@@ -221,7 +244,20 @@ def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     assert main(["report", "--dir", str(d)]) == EXIT_IO
     err = capsys.readouterr().err
     assert "I/O error" in err and "Traceback" not in err
+    if corrupt in (_boolean_k, _boolean_v, _int_tag, _boolean_coordinate):
+        assert "dataset[" in err
     assert (d / "state.json").read_bytes() == before
+
+
+def test_embedded_propose_reports_the_evaluated_iteration(tmp_path, capsys):
+    d = tmp_path / "camp"
+    assert main(["init", "--config", str(_config(tmp_path, "proxy")),
+                 "--dir", str(d)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["propose", "--dir", str(d)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "wrote" not in out and "evaluated iteration 1" in out
+    assert sorted(p.name for p in d.iterdir()) == ["state.json"]
 
 
 def _no_space(cfg):
