@@ -24,13 +24,12 @@ from .gp import GpHyperparameters, GpModel, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, latin_hypercube
 
-# version 1 also stored the constants "kernel_nu" and "sampler", versions
-# 1 and 2 an acquisition "kind" with the weight of its removed second mode,
-# versions 1-3 "lhs_midpoint" and "fitted_standardize_k/v", and versions 1-4
-# "doe_n" and "budget.convergence_tol", which nothing read or which only
-# ever held 1e-6; load_state still reads such files, ignores those keys and
-# refuses a campaign whose kind was not "cei" or whose tolerance was not 1e-6
-STATE_VERSION = 5
+# older versions also stored keys that nothing read or that held a constant:
+# "kernel_nu" and "sampler" (1), an acquisition "kind" (1-2), "lhs_midpoint"
+# and "fitted_standardize_k/v" (1-3), "doe_n" and "budget.convergence_tol"
+# (1-4), "budget.max_iters_per_restart" (1-5); load_state ignores them and
+# refuses a kind other than "cei" or a budget value other than its constant
+STATE_VERSION = 6
 _READABLE_VERSIONS = tuple(range(1, STATE_VERSION + 1))
 
 # role tags for deriving per-stage substream seeds
@@ -330,12 +329,13 @@ def load_state(path: str) -> CampaignState:
             acq = {f.name: acq[f.name] for f in fields(AcquisitionConfig)}
         acq = AcquisitionConfig(**acq)
         budget = dict(doc["budget"])
-        if doc["version"] < 5:
-            tol = budget.pop("convergence_tol", 1e-6)
-            if tol != 1e-6:
+        for key, fixed, since in (("convergence_tol", 1e-6, 5),
+                                  ("max_iters_per_restart", 200, 6)):
+            value = budget.pop(key, fixed) if doc["version"] < since else fixed
+            if value != fixed:
                 raise StateFileError(
-                    f"{path}: budget.convergence_tol {tol!r} has been removed; "
-                    "only campaigns with the fixed 1e-6 can be resumed")
+                    f"{path}: budget.{key} {value!r} has been removed; "
+                    f"only campaigns with the fixed {fixed} can be resumed")
         budget = OptimizerBudget(**budget)
         if not isinstance(doc["evaluator"], str):
             raise ValueError(f"'evaluator' must be a string, got {doc['evaluator']!r}")
@@ -346,7 +346,10 @@ def load_state(path: str) -> CampaignState:
                     and isinstance(r.get("tag"), str)):
                 raise ValueError(f"dataset[{i}] needs an 'x' of {space.ndim} numbers, "
                                  f"numbers 'k' and 'v' and a string 'tag', got {r!r}")
-            dataset.append(Observation(tuple(r["x"]), r["k"], r["v"], r["tag"]))
+            try:
+                dataset.append(Observation(tuple(r["x"]), r["k"], r["v"], r["tag"]))
+            except (BoundsViolationError, DataError, OverflowError) as e:
+                raise ValueError(f"dataset[{i}]: {e}") from e
         state = CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,
             rng_seed=_count_from_json(doc, "rng_seed"),
@@ -355,7 +358,6 @@ def load_state(path: str) -> CampaignState:
             pending=_pending_from_json(doc["pending"], space),
             fitted_hyper_k=_hyper_from_json(doc["fitted_hyper_k"]),
             fitted_hyper_v=_hyper_from_json(doc["fitted_hyper_v"]))
-    except (KeyError, TypeError, ValueError, OverflowError,
-            BoundsViolationError, DataError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise StateFileError(f"{path}: malformed state file: {e}") from e
     return state

@@ -42,13 +42,10 @@ def _add_budget_args(p):
     # the defaults are the dataclass's, so the CLI cannot drift from them
     p.add_argument("--raw-samples", type=int, default=OptimizerBudget.raw_samples)
     p.add_argument("--restarts", type=int, default=OptimizerBudget.restarts)
-    p.add_argument("--max-iters", type=int,
-                   default=OptimizerBudget.max_iters_per_restart)
 
 
 def _budget(args) -> OptimizerBudget:
-    return OptimizerBudget(raw_samples=args.raw_samples, restarts=args.restarts,
-                           max_iters_per_restart=args.max_iters)
+    return OptimizerBudget(raw_samples=args.raw_samples, restarts=args.restarts)
 
 
 def _parser():

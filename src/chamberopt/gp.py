@@ -164,14 +164,6 @@ def _factor(K: np.ndarray, y: np.ndarray,
     return L_inv, alpha, lml
 
 
-def log_marginal_likelihood(X: np.ndarray, y: np.ndarray,
-                            lengthscales: np.ndarray, signal_variance: float,
-                            noise_std: float = NOISE_STD) -> float:
-    K = matern52_cross(X, X, np.asarray(lengthscales, dtype=float),
-                       float(signal_variance))
-    return _factor(K, y, noise_std)[2]
-
-
 def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
                  noise_std: float = NOISE_STD) -> tuple[float, np.ndarray]:
     """LML and its gradient w.r.t. log-lengthscales and log-signal-variance.

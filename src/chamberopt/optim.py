@@ -29,8 +29,10 @@ from .space import unit_latin_hypercube
 
 _STEP_INIT = 0.25
 _STEP_MIN = 1e-4
-# a pattern-search sweep that gains less than this ends the restart
+# a pattern-search sweep that gains less than this ends the restart, and a
+# restart ends after at most _MAX_SWEEPS sweeps
 _GAIN_TOL = 1e-6
+_MAX_SWEEPS = 200
 # candidate batches per stacked acquisition call of the raw screen
 _SCREEN_CHUNK = 4
 
@@ -39,23 +41,22 @@ _SCREEN_CHUNK = 4
 class OptimizerBudget:
     raw_samples: int = 1024
     restarts: int = 10
-    max_iters_per_restart: int = 200
 
     def __post_init__(self):
-        for name in ("raw_samples", "restarts", "max_iters_per_restart"):
+        for name in ("raw_samples", "restarts"):
             value = getattr(self, name)
             # JSON true/false load as bool, which Python counts as an int
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if min(self.raw_samples, self.restarts, self.max_iters_per_restart) < 1:
+        if min(self.raw_samples, self.restarts) < 1:
             raise ValueError("budget counts must be >= 1")
 
 
-def _pattern_search(objective, x0, f0, max_iters):
+def _pattern_search(objective, x0, f0):
     """Coordinate pattern search with shrinking step, projected to [0, 1]."""
     x, fx = x0.copy(), f0
     step = _STEP_INIT
-    for _ in range(max_iters):
+    for _ in range(_MAX_SWEEPS):
         improved = False
         gain = 0.0
         for i in range(x.size):
@@ -127,8 +128,7 @@ def propose_batch(model_k: GpModel, model_v: GpModel, config: AcquisitionConfig,
 
     best_x, best_f = raw[order[0]], scores[order[0]]
     for idx in order:
-        x, f = _pattern_search(objective, raw[idx], scores[idx],
-                               budget.max_iters_per_restart)
+        x, f = _pattern_search(objective, raw[idx], scores[idx])
         if f > best_f:
             best_x, best_f = x, f
     return best_x.reshape(q, d)

@@ -277,8 +277,7 @@ def test_criterion_8_workflow_shape(tmp_path):
 def test_criterion_9_protocol_robustness(tmp_path):
     acq = AcquisitionConfig(constraint_threshold=THRESHOLD, mc_samples=128,
                             batch_size=3)
-    budget = OptimizerBudget(raw_samples=32, restarts=3,
-                             max_iters_per_restart=20)
+    budget = OptimizerBudget(raw_samples=32, restarts=3)
 
     # external round trip is lossless
     st = init_campaign(PRECHAMBER_SPACE, acq, budget, doe_n=4, seed=1,
@@ -323,7 +322,7 @@ def test_criterion_9_protocol_robustness(tmp_path):
     env = {**os.environ, "PYTHONPATH": src}
     cmd = [sys.executable, "-m", "chamberopt.cli", "run", "--evaluator",
            "proxy", "--doe", "5", "--iters", "1", "--q", "2", "--seed", "3",
-           "--raw-samples", "32", "--restarts", "2", "--max-iters", "15",
+           "--raw-samples", "32", "--restarts", "2",
            "--mc-samples", "256"]
     blobs = []
     for sub in ("a", "b"):

@@ -13,8 +13,7 @@ from chamberopt.evaluators import proxy_prechamber, read_proposals
 from chamberopt.optim import OptimizerBudget
 from chamberopt.space import PRECHAMBER_SPACE
 
-SMALL_BUDGET = OptimizerBudget(raw_samples=32, restarts=3,
-                               max_iters_per_restart=25)
+SMALL_BUDGET = OptimizerBudget(raw_samples=32, restarts=3)
 
 
 def _acq(q=3, mc=256, thr=25.0):

@@ -14,8 +14,7 @@ from chamberopt.cli import (EXIT_IO, EXIT_OK, EXIT_PROTOCOL, EXIT_STATE,
 from chamberopt.evaluators import proxy_prechamber, read_proposals
 from chamberopt.space import PRECHAMBER_SPACE
 
-FAST = ["--raw-samples", "16", "--restarts", "2", "--max-iters", "10",
-        "--mc-samples", "128"]
+FAST = ["--raw-samples", "16", "--restarts", "2", "--mc-samples", "128"]
 
 
 def _run_args(d, extra=()):
@@ -91,8 +90,7 @@ def _config(tmp_path, evaluator="external"):
         "space": PRECHAMBER_SPACE.to_config(),
         "acq": {"constraint_threshold": 25.0, "batch_size": 2,
                 "mc_samples": 128},
-        "budget": {"raw_samples": 16, "restarts": 2,
-                   "max_iters_per_restart": 10},
+        "budget": {"raw_samples": 16, "restarts": 2},
         "doe_n": 4,
         "seed": 3,
         "evaluator": evaluator,
@@ -191,12 +189,15 @@ def _nan_k(doc):
     doc["dataset"][2]["k"] = float("nan")
 
 
-def _as_old_version(version, kind="cei", tol=1e-6):
+def _as_old_version(version, kind="cei", tol=1e-6, sweeps=200):
     """Edit a current state file into the given older version's layout."""
     def edit(doc):
-        assert doc["version"] == 5 and "doe_n" not in doc
-        doc.update(version=version, doe_n=4)
-        doc["budget"]["convergence_tol"] = tol
+        assert doc["version"] == 6 and "doe_n" not in doc
+        doc["version"] = version
+        doc["budget"]["max_iters_per_restart"] = sweeps
+        if version < 5:
+            doc["doe_n"] = 4
+            doc["budget"]["convergence_tol"] = tol
         if version < 4:
             doc.update(lhs_midpoint=False,
                        fitted_standardize_k={"center": 1.0, "scale": 2.0},
@@ -244,7 +245,8 @@ def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     assert main(["report", "--dir", str(d)]) == EXIT_IO
     err = capsys.readouterr().err
     assert "I/O error" in err and "Traceback" not in err
-    if corrupt in (_boolean_k, _boolean_v, _int_tag, _boolean_coordinate):
+    if corrupt in (_boolean_k, _boolean_v, _int_tag, _boolean_coordinate,
+                   _out_of_bounds, _duplicate_row, _nan_k):
         assert "dataset[" in err
     assert (d / "state.json").read_bytes() == before
 
@@ -411,6 +413,7 @@ def test_old_state_version_resumes_like_current(tmp_path, capsys, version):
     assert doc["version"] == STATE_VERSION and "kind" not in doc["acq"]
     assert "lhs_midpoint" not in doc and "fitted_standardize_k" not in doc
     assert "doe_n" not in doc and "convergence_tol" not in doc["budget"]
+    assert "max_iters_per_restart" not in doc["budget"]
 
 
 def test_old_state_with_other_tolerance_is_io_error(tmp_path, capsys):
@@ -421,6 +424,21 @@ def test_old_state_with_other_tolerance_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "convergence_tol" in err and "Traceback" not in err
     assert (d / "state.json").read_bytes() == before
+
+
+def test_version_5_state_resumes_only_at_the_fixed_sweep_cap(tmp_path, capsys):
+    current = _doe_ingested(tmp_path)
+    old = tmp_path / "camp_old"
+    shutil.copytree(current, old)
+    _edit_state(old, _as_old_version(5))
+    assert load_state(old / "state.json").budget == load_state(
+        current / "state.json").budget
+    before = _edit_state(current, _as_old_version(5, sweeps=50))
+    capsys.readouterr()
+    assert main(["propose", "--dir", str(current)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "budget.max_iters_per_restart" in err and "Traceback" not in err
+    assert (current / "state.json").read_bytes() == before
 
 
 def _int_id(doc):

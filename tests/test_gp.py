@@ -9,9 +9,8 @@ from chamberopt.evaluators import (QUADRATIC_SPACE, benchmark_quadratic,
                                   proxy_prechamber)
 from chamberopt.gp import (GpHyperparameters, PosteriorGaussian, destandardize,
                            fit, joint_posterior_mvn, joint_posterior_samples,
-                           lml_and_grad, log_marginal_likelihood, matern_kernel,
-                           model_from_hyper, posterior, posterior_at,
-                           standardization_for)
+                           lml_and_grad, matern_kernel, model_from_hyper,
+                           posterior, posterior_at, standardization_for)
 from chamberopt.space import PRECHAMBER_SPACE, latin_hypercube
 
 from oracles import (dense_joint_covariance, dense_lml, dense_lml_grad,
@@ -115,8 +114,8 @@ def test_fit_beats_generating_hyperparameters():
     y = (y - y.mean()) / y.std()        # already standardized scale
     m = fit(X, y, "objective", seed=0)
     ys = (y - m.standardize.center) / m.standardize.scale
-    fitted_lml = log_marginal_likelihood(X, ys, m.hyper.lengthscales,
-                                         m.hyper.signal_variance)
+    fitted_lml = lml_and_grad(X, ys, np.log(np.append(m.hyper.lengthscales,
+                                                      m.hyper.signal_variance)))[0]
     gen_lml = dense_lml(X, ys, gen_ls, gen_s2, 0.005)
     assert fitted_lml >= gen_lml - 1e-6
 
@@ -360,6 +359,26 @@ def test_minimize_box_non_finite_start_returns_at_once():
     np.testing.assert_array_equal(x, [0.5, 1.0])
 
 
+def test_minimize_box_backtracks_from_non_finite_trial():
+    # the first trial, a unit step along steepest descent from the origin,
+    # lands where fun is not finite (x1 > 0.9); the minimizer lies outside
+    # that region
+    A = np.diag([1.0, 4.0])
+    x_star = np.array([0.3, 0.4])
+    values = []
+
+    def fun(x):
+        r = x - x_star
+        f = np.inf if x[1] > 0.9 else 0.5 * r @ A @ r
+        values.append(f)
+        return f, (np.zeros(2) if x[1] > 0.9 else A @ r)
+
+    x, f = boxmin.minimize_box(fun, np.zeros(2), np.zeros(2), np.ones(2))
+    assert not np.isfinite(values[1])
+    np.testing.assert_allclose(x, x_star, atol=1e-6)
+    assert f == pytest.approx(0.0, abs=1e-10)
+
+
 def _lbfgsb_best_lml(X, y_raw, channel, seed):
     """Best LML that scipy's L-BFGS-B reaches from the restarts ``fit``
     draws: the optimizer that ``fit`` used before its in-house one."""
@@ -417,8 +436,9 @@ def test_fit_reaches_lbfgsb_likelihood():
     on_sv_bound = 0
     for X, y, channel, seed in data:
         m = fit(X, y, channel, seed)
-        lml = log_marginal_likelihood(X, m.train_targets, m.hyper.lengthscales,
-                                      m.hyper.signal_variance)
+        lml = lml_and_grad(X, m.train_targets,
+                           np.log(np.append(m.hyper.lengthscales,
+                                            m.hyper.signal_variance)))[0]
         assert lml >= _lbfgsb_best_lml(X, y, channel, seed) - 1e-3
         on_sv_bound += np.isclose(m.hyper.signal_variance, gp._SV_BOUNDS[1],
                                   rtol=1e-9, atol=0.0)

@@ -45,7 +45,7 @@ def test_degenerate_flat_surface_completes():
     mk, mv = _planted_models([0.5, 0.5])
     config = AcquisitionConfig(constraint_threshold=-100.0, batch_size=2,
                                mc_samples=256)
-    budget = OptimizerBudget(raw_samples=32, restarts=2, max_iters_per_restart=10)
+    budget = OptimizerBudget(raw_samples=32, restarts=2)
     batch = propose_batch(mk, mv, config, budget, seed=0, incumbent_value=5.0)
     assert batch.shape == (2, 2)
     assert np.all(batch >= 0) and np.all(batch <= 1)
@@ -68,7 +68,7 @@ def test_q5_batch_points_distinct():
     mk, mv = _planted_models([0.3, 0.7], seed=3)
     config = AcquisitionConfig(constraint_threshold=25.0, batch_size=5,
                                mc_samples=512)
-    budget = OptimizerBudget(raw_samples=64, restarts=4, max_iters_per_restart=40)
+    budget = OptimizerBudget(raw_samples=64, restarts=4)
     batch = propose_batch(mk, mv, config, budget, seed=2, incumbent_value=1.0)
     assert batch.shape == (5, 2)
     for i in range(5):
@@ -80,7 +80,7 @@ def test_determinism():
     mk, mv = _planted_models([0.4, 0.4], seed=5)
     config = AcquisitionConfig(constraint_threshold=25.0, batch_size=3,
                                mc_samples=512)
-    budget = OptimizerBudget(raw_samples=64, restarts=3, max_iters_per_restart=30)
+    budget = OptimizerBudget(raw_samples=64, restarts=3)
     a = propose_batch(mk, mv, config, budget, seed=11, incumbent_value=1.0)
     b = propose_batch(mk, mv, config, budget, seed=11, incumbent_value=1.0)
     np.testing.assert_array_equal(a, b)
@@ -99,7 +99,7 @@ def test_numeric_failure_scores_one_candidate(monkeypatch):
     monkeypatch.setattr(optim, "qcei_mc", flaky)
     config = AcquisitionConfig(constraint_threshold=25.0, batch_size=3,
                                mc_samples=256)
-    budget = OptimizerBudget(raw_samples=32, restarts=3, max_iters_per_restart=20)
+    budget = OptimizerBudget(raw_samples=32, restarts=3)
     batch = propose_batch(mk, mv, config, budget, seed=6, incumbent_value=1.0)
     assert batch.shape == (3, 2)
     assert np.all(batch >= 0.0) and np.all(batch <= 1.0)
@@ -110,7 +110,7 @@ def test_containment():
     mk, mv = _planted_models([0.99, 0.01], seed=7)
     config = AcquisitionConfig(constraint_threshold=25.0, batch_size=4,
                                mc_samples=512)
-    budget = OptimizerBudget(raw_samples=64, restarts=4, max_iters_per_restart=50)
+    budget = OptimizerBudget(raw_samples=64, restarts=4)
     batch = propose_batch(mk, mv, config, budget, seed=3, incumbent_value=1.0)
     assert np.all(batch >= 0.0) and np.all(batch <= 1.0)
 
@@ -174,8 +174,6 @@ def test_grid_oracle_dominance_2d():
 def test_budget_validation():
     with pytest.raises(ValueError):
         OptimizerBudget(raw_samples=0)
-    with pytest.raises(ValueError):
-        OptimizerBudget(max_iters_per_restart=0)
 
 
 def test_singular_batch_in_screen_scores_alone():

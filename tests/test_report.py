@@ -13,8 +13,7 @@ from chamberopt.optim import OptimizerBudget
 from chamberopt.report import emit_slices, emit_table
 from chamberopt.space import PRECHAMBER_SPACE
 
-SMALL_BUDGET = OptimizerBudget(raw_samples=16, restarts=2,
-                               max_iters_per_restart=10)
+SMALL_BUDGET = OptimizerBudget(raw_samples=16, restarts=2)
 
 
 def _campaign(iters=1, q=2, doe=6, seed=0):
