@@ -18,8 +18,8 @@ import numpy as np
 from .acquisition import AcquisitionConfig, incumbent
 from .errors import (BoundsViolationError, DataError, InvalidStateError,
                      StateFileError)
-from .evaluators import (EVALUATORS, Dataset, Observation, read_results,
-                         write_proposals)
+from .evaluators import (EVALUATORS, Dataset, Observation, proposal_ids,
+                         read_results, write_proposals)
 from .gp import GpHyperparameters, GpModel, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, latin_hypercube
@@ -64,23 +64,43 @@ class CampaignState:
         return len(self.pending) > 0
 
 
-def _evaluator_fn(state: CampaignState):
+def _append_batch(state: CampaignState, batch, rows) -> CampaignState:
+    """Append the (id, k, v) ``rows`` of the (id, x) proposals ``batch`` as
+    one stage, all or nothing: a refused row leaves the state untouched."""
+    x_of = dict(batch)
+    is_doe = state.iteration == 0 and len(state.dataset) == 0
+    tag = "doe" if is_doe else f"bo_iter_{state.iteration + 1}"
+    trial = Dataset(space=state.space, rows=list(state.dataset.rows))
+    for pid, k, v in rows:
+        trial.append(Observation(x_of[pid], k, v, tag))
+    state.dataset = trial
+    state.pending = []
+    if not is_doe:
+        state.iteration += 1
+    return state
+
+
+def _evaluate(state: CampaignState, batch) -> CampaignState:
+    """Score the whole batch with the built-in evaluator, then append it."""
     if state.evaluator not in EVALUATORS:
         raise InvalidStateError(f"campaign has no built-in evaluator "
                                 f"({state.evaluator!r}); use propose/ingest")
-    return EVALUATORS[state.evaluator][0]
+    f = EVALUATORS[state.evaluator][0]
+    return _append_batch(state, batch, [(pid, *f(x)) for pid, x in batch])
+
+
+def _batch(iteration: int, x_phys: np.ndarray):
+    ids = proposal_ids(iteration, len(x_phys))
+    return list(zip(ids, map(tuple, x_phys.tolist())))
 
 
 def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
                   budget: OptimizerBudget, doe_n: int, seed: int,
                   evaluator: str = "external") -> CampaignState:
-    """Start a campaign with a Latin hypercube initial design.
-
-    Embedded mode evaluates the design immediately; external mode leaves the
-    design pending until results are ingested.
-    """
-    if doe_n < 2:
-        raise ValueError("DOE size must be >= 2")
+    """Start a campaign with a Latin hypercube initial design, batch 0:
+    pending in external mode, evaluated and appended in embedded mode."""
+    _count(doe_n, "doe_n", 2)
+    _count(seed, "seed")
     if evaluator != "external" and evaluator not in EVALUATORS:
         raise ValueError(f"unknown evaluator {evaluator!r}; expected "
                          f"'external' or one of {sorted(EVALUATORS)}")
@@ -88,15 +108,10 @@ def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
                           dataset=Dataset(space=space), rng_seed=seed,
                           evaluator=evaluator)
     u = latin_hypercube(space, doe_n, derive_seed(seed, 0, _ROLE_DOE))
-    x_phys = space.from_unit(u)
-    if evaluator == "external":
-        state.pending = [(f"iter0_{j}", tuple(map(float, x_phys[j])))
-                         for j in range(doe_n)]
-    else:
-        f = _evaluator_fn(state)
-        for j in range(doe_n):
-            k, v = f(x_phys[j])
-            state.dataset.append(Observation(tuple(map(float, x_phys[j])), k, v, "doe"))
+    batch = _batch(0, space.from_unit(u))
+    if evaluator != "external":
+        return _evaluate(state, batch)
+    state.pending = batch
     return state
 
 
@@ -131,9 +146,9 @@ def _separate_batch(batch_u: np.ndarray, existing_u: np.ndarray,
 def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState:
     """One BO iteration: fit, propose q candidates, evaluate or park them.
 
-    Embedded mode appends evaluated observations and bumps the iteration
-    counter; external mode writes proposals_iter<N>.csv into campaign_dir and
-    marks the batch pending.
+    Embedded mode evaluates the batch and appends it as ``ingest`` would;
+    external mode writes proposals_iter<N>.csv into campaign_dir and marks
+    the batch pending.
     """
     if state.awaiting_results:
         raise InvalidStateError("cannot step while proposals are pending")
@@ -149,47 +164,24 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
                             incumbent_value=None if inc is None else inc.k_best)
     rng = np.random.default_rng(derive_seed(state.rng_seed, it, _ROLE_DEDUP))
     batch_u = _separate_batch(batch_u, state.dataset.unit_inputs(), rng)
-    batch_x = state.space.from_unit(batch_u)
-
-    if state.evaluator == "external":
-        if campaign_dir is None:
-            raise ValueError("external mode needs a campaign directory")
-        path = os.path.join(campaign_dir, f"proposals_iter{it + 1}.csv")
-        ids = write_proposals(path, state.space, batch_x, it + 1)
-        state.pending = [(pid, tuple(map(float, x)))
-                         for pid, x in zip(ids, batch_x)]
-    else:
-        f = _evaluator_fn(state)
-        tag = f"bo_iter_{it + 1}"
-        for x in batch_x:
-            k, v = f(x)
-            state.dataset.append(Observation(tuple(map(float, x)), k, v, tag))
-        state.iteration = it + 1
+    batch = _batch(it + 1, state.space.from_unit(batch_u))
+    if state.evaluator != "external":
+        return _evaluate(state, batch)
+    if campaign_dir is None:
+        raise ValueError("external mode needs a campaign directory")
+    path = os.path.join(campaign_dir, f"proposals_iter{it + 1}.csv")
+    write_proposals(path, state.space, [x for _, x in batch], it + 1)
+    state.pending = batch
     return state
 
 
 def ingest(state: CampaignState, results_path: str) -> CampaignState:
-    """Append externally evaluated results matching the pending proposals.
-
-    Atomic: any protocol or data error leaves the state untouched.
-    """
+    """``read_results`` for the pending proposals, then ``_append_batch``:
+    any protocol or data error leaves the state untouched."""
     if not state.awaiting_results:
         raise InvalidStateError("no pending proposals to ingest results for")
-    pending = dict(state.pending)
-    rows = read_results(results_path, pending.keys())
-
-    is_doe = state.iteration == 0 and len(state.dataset) == 0
-    tag = "doe" if is_doe else f"bo_iter_{state.iteration + 1}"
-    staged = [Observation(pending[pid], k, v, tag) for pid, k, v in rows]
-    trial = Dataset(space=state.space, rows=list(state.dataset.rows))
-    for obs in staged:
-        trial.append(obs)
-
-    state.dataset = trial
-    state.pending = []
-    if not is_doe:
-        state.iteration += 1
-    return state
+    rows = read_results(results_path, [pid for pid, _ in state.pending])
+    return _append_batch(state, state.pending, rows)
 
 
 def best_so_far(state: CampaignState):
@@ -246,16 +238,14 @@ def _hyper_from_json(d):
                              noise_std=d["noise_std"])
 
 
-def _count_from_json(doc, key: str) -> int:
-    # JSON true/false load as bool, which Python counts as an int
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise ValueError(f"{key!r} must be a non-negative integer, got {v!r}")
-    return v
+# JSON true/false load as bool, which Python counts as an int
+def _count(value, name: str, least: int = 0) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name!r} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _numbers(values, n: int) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
     return (isinstance(values, list) and len(values) == n
             and all(isinstance(c, (int, float)) and not isinstance(c, bool)
                     for c in values))
@@ -352,9 +342,9 @@ def load_state(path: str) -> CampaignState:
                 raise ValueError(f"dataset[{i}]: {e}") from e
         state = CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,
-            rng_seed=_count_from_json(doc, "rng_seed"),
+            rng_seed=_count(doc["rng_seed"], "rng_seed"),
             evaluator=doc["evaluator"],
-            iteration=_count_from_json(doc, "iteration"),
+            iteration=_count(doc["iteration"], "iteration"),
             pending=_pending_from_json(doc["pending"], space),
             fitted_hyper_k=_hyper_from_json(doc["fitted_hyper_k"]),
             fitted_hyper_v=_hyper_from_json(doc["fitted_hyper_v"]))

@@ -110,13 +110,8 @@ def _cmd_init(args):
     if not isinstance(cfg.get("space"), list):
         raise ValueError(f"{args.config}: config field 'space' must be a list "
                          "of dimension records")
-    for key, kind in (("doe_n", int), ("seed", int), ("evaluator", str)):
-        # JSON true/false load as bool, which Python counts as an int
-        if key in cfg and (not isinstance(cfg[key], kind)
-                           or kind is int and isinstance(cfg[key], bool)):
-            raise ValueError(f"config field {key!r} must be of type {kind.__name__}")
-    if cfg.get("seed", 0) < 0:
-        raise ValueError("config field 'seed' must be a non-negative integer")
+    if not isinstance(cfg.get("evaluator", ""), str):
+        raise ValueError("config field 'evaluator' must be of type str")
     space = ParameterSpace.from_config(cfg["space"])
     acq = _config_section(cfg, "acq", AcquisitionConfig)
     budget = _config_section(cfg, "budget", OptimizerBudget)
@@ -155,8 +150,6 @@ def _cmd_ingest(args):
 
 
 def _cmd_run(args):
-    if args.seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     _, space, default_thr = EVALUATORS[args.evaluator]
     thr = args.threshold if args.threshold is not None else default_thr
     acq = AcquisitionConfig(constraint_threshold=thr,

@@ -16,6 +16,10 @@ The likelihood gradient is the contraction 1/2 <alpha alpha^T - Kn^-1, dK/dtheta
 evaluates without building the (d, n, n) derivative tensor. The noise goes
 onto the diagonal of a copy of K, with no identity matrix formed, so one
 ``lml_and_grad`` call at n = 180 holds about four n x n arrays at its peak.
+
+``_chol_with_jitter`` is the one Cholesky routine: it factors the n x n
+training covariance, and the (q, q) posterior covariance of a batch or of
+each batch in a stack, which the sampler treats as a stack of one.
 """
 
 from __future__ import annotations
@@ -91,16 +95,23 @@ def matern_kernel(a: np.ndarray, b: np.ndarray, hyper: GpHyperparameters) -> flo
 
 
 def _plus_diagonal(K: np.ndarray, value: float) -> np.ndarray:
-    """K + value * I, built without an identity matrix."""
+    """K + value * I for a matrix or each matrix of a stack, built without an
+    identity matrix."""
     out = K.copy()
-    out.flat[::K.shape[0] + 1] += value
+    n = K.shape[-1]
+    out.reshape(-1, n * n)[:, ::n + 1] += value
     return out
 
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K, escalating diagonal jitter on failure.
+    """Lower Cholesky factor of a matrix, or of each matrix of a stack, and
+    the diagonal jitter it took.
 
-    K itself is factored first; K + jitter * I is built only on escalation.
+    K itself is factored first. A single matrix, or a stack of one, that
+    fails is factored again as K + jitter * I with escalating jitter, built
+    only then. A stack of several that fails raises ``NumericError`` at
+    once: its caller factors it one matrix at a time, each with its own
+    jitter.
     """
     # numpy factors a NaN matrix into an all-NaN factor instead of raising
     if not np.isfinite(K).all():
@@ -111,7 +122,8 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
             L = np.linalg.cholesky(K if jitter == 0.0 else _plus_diagonal(K, jitter))
             return L, jitter
         except np.linalg.LinAlgError:
-            pass
+            if K.ndim == 3 and len(K) > 1:
+                raise NumericError("Cholesky factorization failed in a stack") from None
         jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
         if jitter > _JITTER_MAX:
             raise NumericError(
@@ -317,28 +329,18 @@ def joint_posterior_mvn(model: GpModel, XS: np.ndarray) -> tuple[np.ndarray, np.
     return mean.reshape(XS.shape[:-1]), cov.reshape(XS.shape[:-1] + (q,))
 
 
-def _stacked_cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower factors of a stack of matrices, with no jitter: a stack that
-    fails as a whole is for the caller to factor one matrix at a time."""
-    if not np.isfinite(cov).all():
-        raise NumericError("non-finite covariance matrix in a stack")
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NumericError("Cholesky factorization failed in a stack") from None
-
-
 def joint_posterior_samples(model: GpModel, XS: np.ndarray,
                             base_normals: np.ndarray) -> np.ndarray:
     """Draws from the joint posterior at the q points of XS, standardized units.
 
     ``base_normals`` is an (n_samples, q) matrix of standard-normal base
     draws, one row per sample; holding it fixed keeps the sample path
-    deterministic while XS varies. A (q, d) XS gives (n_samples, q) draws,
-    factored with escalating jitter. A stack of R batches, (R, q, d), gives
-    (R, n_samples, q), every batch drawn from the same base normals: one
-    stacked Cholesky without jitter (``NumericError`` if any block fails)
-    and one product of the base normals with [L_1^T ... L_R^T].
+    deterministic while XS varies. A (q, d) XS gives (n_samples, q) draws
+    and a stack of R batches, (R, q, d), gives (R, n_samples, q), every
+    batch drawn from the same base normals. A lone batch is a stack of one:
+    one ``_chol_with_jitter`` call factors every batch's (q, q) covariance,
+    and one product of the base normals with [L_1^T ... L_R^T] draws them
+    all.
     """
     XS = np.asarray(XS, dtype=float)
     if XS.ndim not in (2, 3):
@@ -347,15 +349,12 @@ def joint_posterior_samples(model: GpModel, XS: np.ndarray,
     q = cov.shape[-1]
     if base_normals.ndim != 2 or base_normals.shape[1] != q:
         raise ValueError("base_normals shape mismatch")
-    if XS.ndim == 2:
-        L = _chol_with_jitter(cov)[0][None]
-    else:
-        L = _stacked_cholesky(cov)
+    L = _chol_with_jitter(cov.reshape(-1, q, q))[0]
     R = L.shape[0]
     samples = base_normals @ L.transpose(2, 0, 1).reshape(q, R * q)
     samples += mean.reshape(R * q)
     samples = samples.reshape(-1, R, q).transpose(1, 0, 2)
-    return samples[0] if XS.ndim == 2 else samples
+    return samples.reshape(XS.shape[:-2] + samples.shape[1:])
 
 
 def destandardize(model: GpModel, g: PosteriorGaussian) -> PosteriorGaussian:

@@ -71,34 +71,30 @@ def matern52_cross_grad(A, B, lengthscales, signal_variance, weights):
     return signal_variance * (5.0 / 3.0) * g
 
 
-def _per_batch(values):
-    # a single batch gives a float, a stack of batches one value each
-    return float(values) if values.ndim == 0 else values
-
-
 def mc_batch_improvement(k_samples, feasible, best):
     """Mean over samples of max_q [ feasible * max(0, k - best) ].
 
     k_samples: (n_samples, q) joint posterior draws of the objective in raw
-    units, or (R, n_samples, q) for a stack of R batches, which gives R
-    values; ``feasible``: the boolean draws 1(v <= threshold) of the same
-    shape. Rounding k - best is monotone in k, so the sample's value is
-    exactly max(0, (largest feasible k) - best): the reduction runs one
-    point at a time on (R, n_samples) arrays, with no full-size temporary.
+    units, which give one ``np.float64`` (a float), or (R, n_samples, q) for
+    a stack of R batches, which give R values from the same reduction;
+    ``feasible``: the boolean draws 1(v <= threshold) of the same shape.
+    Rounding k - best is monotone in k, so the sample's value is exactly
+    max(0, (largest feasible k) - best): the reduction runs one point at a
+    time on (R, n_samples) arrays, with no full-size temporary.
     """
     top = np.full(k_samples.shape[:-1], -np.inf)
     for j in range(k_samples.shape[-1]):
         np.maximum(top, k_samples[..., j], out=top, where=feasible[..., j])
     top -= best
     np.maximum(top, 0.0, out=top)
-    return _per_batch(np.mean(top, axis=-1))
+    return np.mean(top, axis=-1)
 
 
 def mc_batch_feasibility(feasible):
     """Mean over samples of 1(any of the q points is feasible), from boolean
-    draws 1(v <= threshold); one value per batch for an (R, n_samples, q)
-    stack."""
+    draws 1(v <= threshold): one ``np.float64`` for an (n_samples, q) batch,
+    one value per batch for an (R, n_samples, q) stack."""
     any_feasible = feasible[..., 0].copy()
     for j in range(1, feasible.shape[-1]):
         any_feasible |= feasible[..., j]
-    return _per_batch(np.mean(any_feasible, axis=-1))
+    return np.mean(any_feasible, axis=-1)

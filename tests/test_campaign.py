@@ -8,8 +8,8 @@ from chamberopt.acquisition import AcquisitionConfig
 from chamberopt.campaign import (CampaignState, best_so_far, derive_seed,
                                  ingest, init_campaign, load_state,
                                  run_campaign, save_state, step)
-from chamberopt.errors import InvalidStateError, StateFileError
-from chamberopt.evaluators import proxy_prechamber, read_proposals
+from chamberopt.errors import DataError, InvalidStateError, StateFileError
+from chamberopt.evaluators import EVALUATORS, proxy_prechamber, read_proposals
 from chamberopt.optim import OptimizerBudget
 from chamberopt.space import PRECHAMBER_SPACE
 
@@ -44,6 +44,33 @@ def test_init_rejects_tiny_doe():
         _embedded(doe=0)
     with pytest.raises(ValueError):
         _embedded(doe=1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", True), ("doe_n", 2.5), ("doe_n", True)])
+def test_init_rejects_non_integer_seed_and_doe_size(name, value):
+    # save_state would write a state.json that load_state refuses
+    kwargs = {"doe_n": 4, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=name):
+        init_campaign(PRECHAMBER_SPACE, _acq(), SMALL_BUDGET, **kwargs)
+
+
+def test_failed_embedded_evaluation_leaves_state(monkeypatch):
+    st = _embedded()
+    rows = list(st.dataset.rows)
+    calls = []
+
+    def nan_second(x):
+        calls.append(x)
+        k, v = proxy_prechamber(x)
+        return (float("nan") if len(calls) == 2 else k), v
+
+    monkeypatch.setitem(EVALUATORS, "proxy", (nan_second, *EVALUATORS["proxy"][1:]))
+    with pytest.raises(DataError):
+        step(st)
+    assert len(calls) == 3          # the whole batch is scored first
+    assert st.dataset.rows == rows
+    assert st.iteration == 0 and st.pending == []
 
 
 def test_step_embedded_grows_dataset():

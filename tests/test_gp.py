@@ -317,8 +317,28 @@ def test_joint_mvn_matches_dense_oracle():
 def test_cholesky_rejects_non_finite_matrix(bad):
     K = np.eye(3)
     K[1, 2] = K[2, 1] = bad
+    for M in (K, np.stack([np.eye(3), K])):
+        with pytest.raises(NumericError):
+            gp._chol_with_jitter(M)
+
+
+def test_cholesky_of_a_stack():
+    rng = np.random.default_rng(21)
+    B = rng.normal(size=(4, 3, 3))
+    stack = B @ B.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    L, jitter = gp._chol_with_jitter(stack)
+    assert jitter == 0.0
+    for L_i, K_i in zip(L, stack):
+        np.testing.assert_array_equal(L_i, gp._chol_with_jitter(K_i)[0])
+    # rank one less 1e-7 I: factored only with jitter above 1e-7
+    indefinite = np.ones((3, 3)) - 1e-7 * np.eye(3)
     with pytest.raises(NumericError):
-        gp._chol_with_jitter(K)
+        gp._chol_with_jitter(np.concatenate([stack, indefinite[None]]))
+    L_one, jitter_one = gp._chol_with_jitter(indefinite[None])
+    L_alone, jitter_alone = gp._chol_with_jitter(indefinite)
+    assert jitter_one == jitter_alone > 1e-7
+    assert L_one.shape == (1, 3, 3)
+    np.testing.assert_array_equal(L_one[0], L_alone)
 
 
 # ------------------------------------------------------------ fit optimizer
