@@ -7,8 +7,6 @@ needs no transformation; the objective and constraint GPs are independent.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +14,7 @@ import numpy as np
 from .errors import InvalidStateError
 from .gp import GpModel, PosteriorGaussian, joint_posterior_samples
 from .kernels import mc_batch_feasibility, mc_batch_improvement
+from .space import count, real
 
 
 @dataclass(frozen=True)
@@ -25,18 +24,9 @@ class AcquisitionConfig:
     batch_size: int = 5
 
     def __post_init__(self):
-        for name in ("mc_samples", "batch_size"):
-            value = getattr(self, name)
-            # JSON true/false load as bool, which Python counts as an int
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.mc_samples < 1 or self.batch_size < 1:
-            raise ValueError("mc_samples and batch_size must be >= 1")
-        value = self.constraint_threshold
-        # NaN fails the comparison, and an int beyond the float range fails it too
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not abs(value) <= sys.float_info.max):
-            raise ValueError(f"constraint_threshold must be a finite number, got {value!r}")
+        real(self.constraint_threshold, "constraint_threshold")
+        count(self.mc_samples, "mc_samples", 1)
+        count(self.batch_size, "batch_size", 1)
 
 
 def _norm_pdf(z: float) -> float:

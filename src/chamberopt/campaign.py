@@ -22,7 +22,7 @@ from .evaluators import (EVALUATORS, Dataset, Observation, proposal_ids,
                          read_results, write_proposals)
 from .gp import GpHyperparameters, GpModel, fit
 from .optim import OptimizerBudget, propose_batch
-from .space import ParameterSpace, latin_hypercube
+from .space import ParameterSpace, count, latin_hypercube, real
 
 # older versions also stored keys that nothing read or that held a constant:
 # "kernel_nu" and "sampler" (1), an acquisition "kind" (1-2), "lhs_midpoint"
@@ -59,6 +59,17 @@ class CampaignState:
     fitted_hyper_k: GpHyperparameters | None = None
     fitted_hyper_v: GpHyperparameters | None = None
 
+    def __post_init__(self):
+        count(self.rng_seed, "rng_seed")
+        count(self.iteration, "iteration")
+        # each completed iteration appended at least one row
+        if self.iteration > len(self.dataset):
+            raise ValueError(f"'iteration' {self.iteration} exceeds the "
+                             f"{len(self.dataset)} rows of the dataset")
+        if self.evaluator not in ("external", *EVALUATORS):
+            raise ValueError(f"'evaluator' must be 'external' or one of "
+                             f"{sorted(EVALUATORS)}, got {self.evaluator!r}")
+
     @property
     def awaiting_results(self) -> bool:
         return len(self.pending) > 0
@@ -82,9 +93,6 @@ def _append_batch(state: CampaignState, batch, rows) -> CampaignState:
 
 def _evaluate(state: CampaignState, batch) -> CampaignState:
     """Score the whole batch with the built-in evaluator, then append it."""
-    if state.evaluator not in EVALUATORS:
-        raise InvalidStateError(f"campaign has no built-in evaluator "
-                                f"({state.evaluator!r}); use propose/ingest")
     f = EVALUATORS[state.evaluator][0]
     return _append_batch(state, batch, [(pid, *f(x)) for pid, x in batch])
 
@@ -99,11 +107,7 @@ def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
                   evaluator: str = "external") -> CampaignState:
     """Start a campaign with a Latin hypercube initial design, batch 0:
     pending in external mode, evaluated and appended in embedded mode."""
-    _count(doe_n, "doe_n", 2)
-    _count(seed, "seed")
-    if evaluator != "external" and evaluator not in EVALUATORS:
-        raise ValueError(f"unknown evaluator {evaluator!r}; expected "
-                         f"'external' or one of {sorted(EVALUATORS)}")
+    count(doe_n, "doe_n", 2)
     state = CampaignState(space=space, acq=acq, budget=budget,
                           dataset=Dataset(space=space), rng_seed=seed,
                           evaluator=evaluator)
@@ -230,40 +234,36 @@ def _hyper_to_json(h: GpHyperparameters | None):
             "noise_std": float(h.noise_std)}
 
 
-def _hyper_from_json(d):
-    if d is None:
-        return None
-    return GpHyperparameters(lengthscales=np.array(d["lengthscales"]),
-                             signal_variance=d["signal_variance"],
-                             noise_std=d["noise_std"])
+def _hyper_from_json(doc, key: str):
+    try:
+        return None if doc[key] is None else GpHyperparameters(**doc[key])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{key}: {e}") from e
 
 
-# JSON true/false load as bool, which Python counts as an int
-def _count(value, name: str, least: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name!r} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _numbers(values, n: int) -> bool:
-    return (isinstance(values, list) and len(values) == n
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in values))
-
-
-def _pending_from_json(records, space: ParameterSpace):
-    pending = {}
-    for i, p in enumerate(records):
-        x = p.get("x") if isinstance(p, dict) else None
-        # NaN and +-inf fail the closed bounds comparison
-        if (not _numbers(x, space.ndim) or not isinstance(p.get("id"), str)
-                or p["id"] in pending
-                or not all(d.lower <= c <= d.upper for c, d in zip(x, space.dims))):
-            raise ValueError(
-                f"pending[{i}] must be an object with a unique string 'id' and "
-                f"an 'x' of {space.ndim} numbers inside the bounds, got {p!r}")
-        pending[p["id"]] = tuple(x)
-    return list(pending.items())
+def _records_from_json(doc, space: ParameterSpace):
+    """The dataset and the pending (id, x) proposals of a state document;
+    an error names the record, as ``dataset[i]`` or ``pending[i]``."""
+    dataset, pending = Dataset(space=space), {}  # append checks bounds, duplicates
+    for key in ("dataset", "pending"):
+        for i, r in enumerate(doc[key]):
+            try:
+                x = tuple(real(c, "x") for c in r["x"])
+                if key == "dataset":
+                    if not isinstance(r["tag"], str):
+                        raise ValueError(f"'tag' must be a string, got {r['tag']!r}")
+                    dataset.append(Observation(x, real(r["k"], "k"), real(r["v"], "v"),
+                                               r["tag"]))
+                elif not isinstance(r["id"], str) or r["id"] in pending:
+                    raise ValueError(f"'id' must be a unique string, got {r['id']!r}")
+                else:
+                    space.to_unit(x)                # its length and bounds
+                    pending[r["id"]] = x
+            except KeyError as e:
+                raise ValueError(f"{key}[{i}] has no field {e}: {r!r}") from e
+            except (TypeError, ValueError, BoundsViolationError, DataError) as e:
+                raise ValueError(f"{key}[{i}]: {e}") from e
+    return dataset, list(pending.items())
 
 
 def save_state(state: CampaignState, path: str) -> None:
@@ -327,27 +327,13 @@ def load_state(path: str) -> CampaignState:
                     f"{path}: budget.{key} {value!r} has been removed; "
                     f"only campaigns with the fixed {fixed} can be resumed")
         budget = OptimizerBudget(**budget)
-        if not isinstance(doc["evaluator"], str):
-            raise ValueError(f"'evaluator' must be a string, got {doc['evaluator']!r}")
-        dataset = Dataset(space=space)      # append checks bounds and duplicates
-        for i, r in enumerate(doc["dataset"]):
-            if not (isinstance(r, dict) and _numbers(r.get("x"), space.ndim)
-                    and _numbers([r.get("k"), r.get("v")], 2)
-                    and isinstance(r.get("tag"), str)):
-                raise ValueError(f"dataset[{i}] needs an 'x' of {space.ndim} numbers, "
-                                 f"numbers 'k' and 'v' and a string 'tag', got {r!r}")
-            try:
-                dataset.append(Observation(tuple(r["x"]), r["k"], r["v"], r["tag"]))
-            except (BoundsViolationError, DataError, OverflowError) as e:
-                raise ValueError(f"dataset[{i}]: {e}") from e
+        dataset, pending = _records_from_json(doc, space)
         state = CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,
-            rng_seed=_count(doc["rng_seed"], "rng_seed"),
-            evaluator=doc["evaluator"],
-            iteration=_count(doc["iteration"], "iteration"),
-            pending=_pending_from_json(doc["pending"], space),
-            fitted_hyper_k=_hyper_from_json(doc["fitted_hyper_k"]),
-            fitted_hyper_v=_hyper_from_json(doc["fitted_hyper_v"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+            rng_seed=doc["rng_seed"], evaluator=doc["evaluator"],
+            iteration=doc["iteration"], pending=pending,
+            fitted_hyper_k=_hyper_from_json(doc, "fitted_hyper_k"),
+            fitted_hyper_v=_hyper_from_json(doc, "fitted_hyper_v"))
+    except (KeyError, TypeError, ValueError) as e:
         raise StateFileError(f"{path}: malformed state file: {e}") from e
     return state

@@ -38,16 +38,6 @@ def _add_dir_arg(p):
                    help="campaign directory (default: $CHAMBEROPT_DIR or cwd)")
 
 
-def _add_budget_args(p):
-    # the defaults are the dataclass's, so the CLI cannot drift from them
-    p.add_argument("--raw-samples", type=int, default=OptimizerBudget.raw_samples)
-    p.add_argument("--restarts", type=int, default=OptimizerBudget.restarts)
-
-
-def _budget(args) -> OptimizerBudget:
-    return OptimizerBudget(raw_samples=args.raw_samples, restarts=args.restarts)
-
-
 def _parser():
     p = argparse.ArgumentParser(
         prog="chamberopt",
@@ -76,7 +66,8 @@ def _parser():
     sp.add_argument("--threshold", type=float, default=None,
                     help="constraint threshold (default: evaluator's own)")
     sp.add_argument("--mc-samples", type=int, default=AcquisitionConfig.mc_samples)
-    _add_budget_args(sp)
+    sp.add_argument("--raw-samples", type=int, default=OptimizerBudget.raw_samples)
+    sp.add_argument("--restarts", type=int, default=OptimizerBudget.restarts)
 
     sp = sub.add_parser("report", help="write result tables")
     _add_dir_arg(sp)
@@ -107,12 +98,7 @@ def _cmd_init(args):
     if unknown:
         raise ValueError(f"{args.config}: unknown config field(s) {unknown}; "
                          f"expected some of {list(_CONFIG_KEYS)}")
-    if not isinstance(cfg.get("space"), list):
-        raise ValueError(f"{args.config}: config field 'space' must be a list "
-                         "of dimension records")
-    if not isinstance(cfg.get("evaluator", ""), str):
-        raise ValueError("config field 'evaluator' must be of type str")
-    space = ParameterSpace.from_config(cfg["space"])
+    space = ParameterSpace.from_config(cfg.get("space"))
     acq = _config_section(cfg, "acq", AcquisitionConfig)
     budget = _config_section(cfg, "budget", OptimizerBudget)
     state = camp.init_campaign(space, acq, budget,
@@ -154,7 +140,8 @@ def _cmd_run(args):
     thr = args.threshold if args.threshold is not None else default_thr
     acq = AcquisitionConfig(constraint_threshold=thr,
                             mc_samples=args.mc_samples, batch_size=args.q)
-    state = camp.init_campaign(space, acq, _budget(args), doe_n=args.doe,
+    budget = OptimizerBudget(raw_samples=args.raw_samples, restarts=args.restarts)
+    state = camp.init_campaign(space, acq, budget, doe_n=args.doe,
                                seed=args.seed, evaluator=args.evaluator)
     state = camp.run_campaign(state, args.iters)
     os.makedirs(args.dir, exist_ok=True)

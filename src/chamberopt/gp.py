@@ -31,6 +31,7 @@ import numpy as np
 from .boxmin import minimize_box
 from .errors import DegenerateDataError, NumericError
 from .kernels import matern52_cross, matern52_cross_grad
+from .space import real
 
 NOISE_STD = 0.005          # fixed, standardized output units; never fitted
 
@@ -58,10 +59,14 @@ class GpHyperparameters:
     noise_std: float = NOISE_STD
 
     def __post_init__(self):
-        object.__setattr__(self, "lengthscales",
-                           np.atleast_1d(np.asarray(self.lengthscales, dtype=float)))
-        if np.any(self.lengthscales <= 0) or self.signal_variance <= 0 or self.noise_std <= 0:
+        # an object array keeps each value's own type for the number rule
+        ls = np.atleast_1d(np.array(self.lengthscales, dtype=object))
+        values = [real(v, "lengthscales") for v in ls] + [
+            real(self.signal_variance, "signal_variance"),
+            real(self.noise_std, "noise_std")]
+        if min(values) <= 0:
             raise ValueError("hyperparameters must be strictly positive")
+        object.__setattr__(self, "lengthscales", ls.astype(float))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .acquisition import AcquisitionConfig, q_feasibility_mc, qcei_mc
 from .errors import NumericError
 # campaign_bench/tracer.py wraps optim.posterior, so the name stays importable
 from .gp import GpModel, posterior  # noqa: F401
-from .space import unit_latin_hypercube
+from .space import count, unit_latin_hypercube
 
 _STEP_INIT = 0.25
 _STEP_MIN = 1e-4
@@ -44,13 +44,8 @@ class OptimizerBudget:
     restarts: int = 10
 
     def __post_init__(self):
-        for name in ("raw_samples", "restarts"):
-            value = getattr(self, name)
-            # JSON true/false load as bool, which Python counts as an int
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if min(self.raw_samples, self.restarts) < 1:
-            raise ValueError("budget counts must be >= 1")
+        count(self.raw_samples, "raw_samples", 1)
+        count(self.restarts, "restarts", 1)
 
 
 def _pattern_search(objective, x0, f0):

@@ -1,17 +1,41 @@
-"""Design space definition, unit-cube scaling, and the Latin hypercube that
-draws both the DOE and the raw screen of the acquisition maximizer.
+"""Design space definition, unit-cube scaling, the Latin hypercube that
+draws both the DOE and the raw screen of the acquisition maximizer, and the
+rules for the numbers that a config or a state file holds.
 
 All optimization-facing code works on the closed unit cube [0, 1]^d; physical
 coordinates appear only at the evaluator boundary and in reports.
+
+Each settings type checks its own fields with two rules when it is built, so
+a file reader only builds the types. An integer (``count``) is a Python
+``int``: JSON true/false load as ``bool``, which Python counts as an int,
+and JSON cannot write back a numpy integer. A finite number (``real``) is
+an ``int`` or ``float``, not a ``bool``, NaN, +-inf or an int beyond the
+float range. A coordinate is tested as ``lower <= x <= upper``: NaN fails.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundsViolationError
+
+
+def count(value, name: str, least: int = 0) -> int:
+    """``value`` if it is an integer >= ``least``, else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name!r} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def real(value, name: str):
+    """``value`` if it is a finite number, else a ValueError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name!r} must be a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -30,21 +54,24 @@ class ParameterSpace:
     def __post_init__(self):
         if len(self.dims) < 1:
             raise ValueError("parameter space needs at least one dimension")
-        names = [d.name for d in self.dims]
-        if len(set(names)) != len(names) or any(not n for n in names):
-            raise ValueError("dimension names must be unique and non-empty")
-        for d in self.dims:
-            if not np.isfinite(d.lower) or not np.isfinite(d.upper):
-                raise ValueError(f"non-finite bounds for dimension {d.name!r}")
-            if d.upper <= d.lower:
+        dims = []
+        for i, d in enumerate(self.dims):
+            if not isinstance(d.name, str) or not d.name:
+                raise ValueError(f"'space[{i}].name' must be a non-empty string, "
+                                 f"got {d.name!r}")
+            lo, hi = (float(real(getattr(d, b), f"space[{i}].{b}"))
+                      for b in ("lower", "upper"))
+            if hi <= lo:
                 raise ValueError(
-                    f"dimension {d.name!r}: upper ({d.upper}) must exceed lower ({d.lower})"
-                )
+                    f"dimension {d.name!r}: upper ({hi}) must exceed lower ({lo})")
+            dims.append(Dimension(d.name, lo, hi))
+        if len({d.name for d in dims}) != len(dims):
+            raise ValueError("dimension names must be unique")
+        object.__setattr__(self, "dims", tuple(dims))
 
     @classmethod
     def from_bounds(cls, names, lowers, uppers) -> "ParameterSpace":
-        return cls(tuple(Dimension(n, float(lo), float(hi))
-                         for n, lo, hi in zip(names, lowers, uppers)))
+        return cls(tuple(map(Dimension, names, lowers, uppers)))
 
     @property
     def ndim(self) -> int:
@@ -70,7 +97,7 @@ class ParameterSpace:
         lo, hi = self.lowers, self.uppers
         for i, d in enumerate(self.dims):
             xi = x[..., i]
-            if np.any(xi < d.lower) or np.any(xi > d.upper):
+            if not np.all((d.lower <= xi) & (xi <= d.upper)):
                 raise BoundsViolationError(
                     f"dimension {d.name!r}: value outside [{d.lower}, {d.upper}]"
                 )
@@ -81,7 +108,7 @@ class ParameterSpace:
         u = np.asarray(u, dtype=float)
         if u.shape[-1] != self.ndim:
             raise ValueError(f"expected {self.ndim} coordinates, got {u.shape[-1]}")
-        if np.any(u < 0.0) or np.any(u > 1.0):
+        if not np.all((0.0 <= u) & (u <= 1.0)):
             raise ValueError("unit coordinates must lie in [0, 1]")
         return self.lowers + u * (self.uppers - self.lowers)
 
@@ -90,16 +117,14 @@ class ParameterSpace:
 
     @classmethod
     def from_config(cls, records) -> "ParameterSpace":
-        dims = []
+        if not isinstance(records, list):
+            raise ValueError(f"'space' must be a list of dimension records, "
+                             f"got {records!r}")
         for i, r in enumerate(records):
             if not isinstance(r, dict) or not {"name", "lower", "upper"} <= r.keys():
                 raise ValueError(f"space[{i}]: a dimension record needs 'name', "
                                  f"'lower' and 'upper', got {r!r}")
-            try:
-                dims.append(Dimension(r["name"], float(r["lower"]), float(r["upper"])))
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"space[{i}]: bounds must be numbers, got {r!r}") from e
-        return cls(tuple(dims))
+        return cls(tuple(Dimension(r["name"], r["lower"], r["upper"]) for r in records))
 
 
 def latin_hypercube(space: ParameterSpace, n: int, seed: int) -> np.ndarray:

@@ -279,6 +279,8 @@ def test_acquisition_config_validation():
         AcquisitionConfig(mc_samples=0)
     with pytest.raises(ValueError):
         AcquisitionConfig(constraint_threshold=np.inf)
+    with pytest.raises(ValueError, match="batch_size"):
+        AcquisitionConfig(batch_size=np.int64(2))
 
 
 # ------------------------------------------------------------ stacked batches

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -5,12 +6,16 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chamberopt
-from chamberopt.campaign import STATE_VERSION, load_state
+from chamberopt.campaign import STATE_VERSION, load_state, save_state
 from chamberopt.cli import (EXIT_IO, EXIT_OK, EXIT_PROTOCOL, EXIT_STATE,
                             EXIT_USAGE, main)
+from chamberopt.errors import StateFileError
 from chamberopt.evaluators import proxy_prechamber, read_proposals
 from chamberopt.space import PRECHAMBER_SPACE
 
@@ -234,10 +239,29 @@ def _huge_int_k(doc):
     doc["dataset"][0]["k"] = int("9" * 400)
 
 
+def _nan_coordinate(doc):
+    doc["dataset"][1]["x"][0] = float("nan")
+
+
+# a state file and a config hold the space in the same layout
+def _string_lower(doc):
+    doc["space"][0]["lower"] = "8.0"
+
+
+def _integer_name(doc):
+    doc["space"][2]["name"] = 3
+
+
+def _nan_signal_variance(doc):
+    doc["fitted_hyper_k"] = {"lengthscales": [0.5, 0.5, 0.5],
+                             "signal_variance": float("nan"), "noise_std": 0.005}
+
+
 @pytest.mark.parametrize("corrupt", [_out_of_bounds, _duplicate_row, _nan_k,
                                      _removed_ucb_kind, _boolean_k, _boolean_v,
                                      _int_tag, _boolean_coordinate,
-                                     _huge_int_k])
+                                     _huge_int_k, _nan_coordinate, _string_lower,
+                                     _integer_name, _nan_signal_variance])
 def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     d = _doe_ingested(tmp_path)
     before = _edit_state(d, corrupt)
@@ -246,7 +270,7 @@ def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert "I/O error" in err and "Traceback" not in err
     if corrupt in (_boolean_k, _boolean_v, _int_tag, _boolean_coordinate,
-                   _out_of_bounds, _duplicate_row, _nan_k):
+                   _out_of_bounds, _duplicate_row, _nan_k, _nan_coordinate):
         assert "dataset[" in err
     assert (d / "state.json").read_bytes() == before
 
@@ -360,6 +384,10 @@ def _acq_kind(cfg):
     cfg["acq"]["kind"] = "cei"
 
 
+def _boolean_upper(cfg):
+    cfg["space"][1].update(lower=0, upper=True)
+
+
 @pytest.mark.parametrize("edit, field", [
     (_no_space, "space"),
     (_unknown_acq_key, "acq"),
@@ -385,6 +413,9 @@ def _acq_kind(cfg):
     (_null_lower, "space[1]"),
     (_list_lower, "space[1]"),
     (_acq_kind, "kind"),
+    (_string_lower, "space[0].lower"),
+    (_boolean_upper, "space[1].upper"),
+    (_integer_name, "space[2].name"),
 ])
 def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
     path = _config(tmp_path)
@@ -491,6 +522,8 @@ def test_corrupt_pending_entry_is_io_error(tmp_path, capsys, corrupt, field):
     ("propose", "rng_seed", None),
     ("propose", "evaluator", 7),
     ("propose", "evaluator", ["proxy"]),
+    ("propose", "evaluator", "bogus"),
+    ("ingest", "iteration", 100),
 ])
 def test_mistyped_state_scalar_is_io_error(tmp_path, capsys, command, field,
                                            value):
@@ -515,6 +548,61 @@ def test_unknown_state_version_is_io_error(tmp_path, capsys):
     assert main(["report", "--dir", str(d)]) == EXIT_IO
     assert f"version {bad}" in capsys.readouterr().err
     assert (d / "state.json").read_bytes() == before
+
+
+_HOSTILE = [float("nan"), float("inf"), float("-inf"), True, "1", None, [], {},
+            -1, int("9" * 400)]
+
+
+def _leaves(node, path=()):
+    """The paths to the scalar values of a JSON document."""
+    if not isinstance(node, (dict, list)):
+        return [path]
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+
+
+@pytest.fixture(scope="module")
+def valid_states(tmp_path_factory):
+    """A state with data, fitted hyperparameters and pending proposals, and
+    the state after their results are ingested."""
+    d = _doe_ingested(tmp_path_factory.mktemp("valid"))
+    assert main(["propose", "--dir", str(d)]) == EXIT_OK
+    pending = json.loads((d / "state.json").read_text())
+    _answer(d / "proposals_iter1.csv", d / "r1.csv")
+    assert main(["ingest", str(d / "r1.csv"), "--dir", str(d)]) == EXIT_OK
+    return [pending, json.loads((d / "state.json").read_text())]
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_state_value_loads_valid_or_is_io_error(tmp_path, capsys,
+                                                        valid_states, data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(valid_states)))
+    *path, key = data.draw(st.sampled_from(_leaves(doc)))
+    owner = doc
+    for step in path:
+        owner = owner[step]
+    owner[key] = data.draw(st.sampled_from(_HOSTILE))
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(doc))
+    before = state_path.read_bytes()
+    try:
+        state = load_state(state_path)
+    except StateFileError:
+        state = None
+    else:
+        for x in [r.x for r in state.dataset] + [x for _, x in state.pending]:
+            assert np.isfinite(x).all()
+            state.space.to_unit(x)          # raises outside the bounds
+        save_state(state, tmp_path / "back.json")
+        json.dumps(json.loads((tmp_path / "back.json").read_text()), allow_nan=False)
+    capsys.readouterr()
+    code = main(["report", "--dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == (EXIT_IO if state is None else EXIT_OK) and "Traceback" not in err
+    assert state_path.read_bytes() == before
 
 
 def test_cli_commands_leave_scipy_unloaded(tmp_path):

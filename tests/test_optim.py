@@ -174,6 +174,8 @@ def test_grid_oracle_dominance_2d():
 def test_budget_validation():
     with pytest.raises(ValueError):
         OptimizerBudget(raw_samples=0)
+    with pytest.raises(ValueError, match="restarts"):
+        OptimizerBudget(restarts=np.int64(2))
 
 
 def test_singular_batch_in_screen_scores_alone():

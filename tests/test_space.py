@@ -37,6 +37,10 @@ def test_from_unit_corners():
 def test_out_of_bounds_names_dimension():
     with pytest.raises(BoundsViolationError, match="d_bore"):
         PRECHAMBER_SPACE.to_unit([9.0, 1.2, 16.0])
+    with pytest.raises(BoundsViolationError, match="d_bore"):
+        PRECHAMBER_SPACE.to_unit([9.0, np.nan, 16.0])
+    with pytest.raises(ValueError):
+        PRECHAMBER_SPACE.from_unit([0.5, np.nan, 0.5])
 
 
 def test_space_validation():
