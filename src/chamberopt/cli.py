@@ -78,6 +78,15 @@ def _parser():
     return p
 
 
+def _acquisition(evaluator, /, **fields) -> AcquisitionConfig:
+    """``AcquisitionConfig(**fields)`` whose constraint threshold defaults to
+    a built-in evaluator's own: the quadratic's v = x1 + x2 never reaches
+    the class default 25.0."""
+    if isinstance(evaluator, str) and evaluator in EVALUATORS:
+        fields = {"constraint_threshold": EVALUATORS[evaluator][2], **fields}
+    return AcquisitionConfig(**fields)
+
+
 def _config_section(cfg: dict, key: str, cls):
     """Build ``cls`` from the optional object ``cfg[key]``; errors name the field."""
     section = cfg.get(key, {})
@@ -99,12 +108,12 @@ def _cmd_init(args):
         raise ValueError(f"{args.config}: unknown config field(s) {unknown}; "
                          f"expected some of {list(_CONFIG_KEYS)}")
     space = ParameterSpace.from_config(cfg.get("space"))
-    acq = _config_section(cfg, "acq", AcquisitionConfig)
+    evaluator = cfg.get("evaluator", "external")
+    acq = _config_section(cfg, "acq", lambda **f: _acquisition(evaluator, **f))
     budget = _config_section(cfg, "budget", OptimizerBudget)
     state = camp.init_campaign(space, acq, budget,
                                doe_n=cfg.get("doe_n", 10),
-                               seed=cfg.get("seed", 0),
-                               evaluator=cfg.get("evaluator", "external"))
+                               seed=cfg.get("seed", 0), evaluator=evaluator)
     os.makedirs(args.dir, exist_ok=True)
     if state.pending:
         path = os.path.join(args.dir, "proposals_iter0.csv")
@@ -136,10 +145,10 @@ def _cmd_ingest(args):
 
 
 def _cmd_run(args):
-    _, space, default_thr = EVALUATORS[args.evaluator]
-    thr = args.threshold if args.threshold is not None else default_thr
-    acq = AcquisitionConfig(constraint_threshold=thr,
-                            mc_samples=args.mc_samples, batch_size=args.q)
+    space = EVALUATORS[args.evaluator][1]
+    thr = {} if args.threshold is None else {"constraint_threshold": args.threshold}
+    acq = _acquisition(args.evaluator, mc_samples=args.mc_samples,
+                       batch_size=args.q, **thr)
     budget = OptimizerBudget(raw_samples=args.raw_samples, restarts=args.restarts)
     state = camp.init_campaign(space, acq, budget, doe_n=args.doe,
                                seed=args.seed, evaluator=args.evaluator)
@@ -186,6 +195,9 @@ def main(argv=None) -> int:
         return EXIT_PROTOCOL
     except (NumericError, DegenerateDataError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as e:
+        print(f"numeric error: out of memory: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (StateFileError, OSError) as e:
         print(f"I/O error: {e}", file=sys.stderr)

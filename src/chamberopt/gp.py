@@ -18,8 +18,9 @@ onto the diagonal of a copy of K, with no identity matrix formed, so one
 ``lml_and_grad`` call at n = 180 holds about four n x n arrays at its peak.
 
 ``_chol_with_jitter`` is the one Cholesky routine: it factors the n x n
-training covariance, and the (q, q) posterior covariance of a batch or of
-each batch in a stack, which the sampler treats as a stack of one.
+training covariance, and the (q, q) posterior covariance of a batch, or of
+each batch in a stack. A stack is a leading axis from the kernel to the
+sampler.
 """
 
 from __future__ import annotations
@@ -112,11 +113,11 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a matrix, or of each matrix of a stack, and
     the diagonal jitter it took.
 
-    K itself is factored first. A single matrix, or a stack of one, that
-    fails is factored again as K + jitter * I with escalating jitter, built
-    only then. A stack of several that fails raises ``NumericError`` at
-    once: its caller factors it one matrix at a time, each with its own
-    jitter.
+    K itself is factored first. A single matrix, such as a lone batch's
+    (q, q) posterior covariance, or a stack of one, that fails is factored
+    again as K + jitter * I with escalating jitter, built only then. A stack
+    of several that fails raises ``NumericError`` at once: its caller
+    factors it one matrix at a time, each with its own jitter.
     """
     # numpy factors a NaN matrix into an all-NaN factor instead of raising
     if not np.isfinite(K).all():
@@ -310,28 +311,21 @@ def posterior_at(model: GpModel, x: np.ndarray) -> PosteriorGaussian:
 def joint_posterior_mvn(model: GpModel, XS: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint posterior mean vector and covariance matrix at a set of points.
 
-    A (q, d) XS gives a (q,) mean and a (q, q) covariance; a stack of R
-    batches, (R, q, d), gives (R, q) means and the R diagonal (q, q) blocks
-    of the joint covariance of all R*q points. One kernel call covers the
-    R*q points against the training set and against each other.
+    A (q, d) XS gives a (q,) mean and a (q, q) covariance. Leading axes are
+    a stack: (R, q, d) gives (R, q) means and R (q, q) covariances. One
+    kernel call covers each batch against the training set and itself.
     """
     XS = np.asarray(XS, dtype=float)
-    q, d = XS.shape[-2:]
-    flat = XS.reshape(-1, d)
-    R = flat.shape[0] // q
     n = model.train_inputs.shape[0]
-    K = matern52_cross(flat, np.vstack([model.train_inputs, flat]),
+    train = np.broadcast_to(model.train_inputs, XS.shape[:-2] + (n, XS.shape[-1]))
+    K = matern52_cross(XS, np.concatenate([train, XS], axis=-2),
                        model.hyper.lengthscales, model.hyper.signal_variance)
-    Kx = K[:, :n]
-    # one (n, n) x (n, q) product per batch, as for a lone batch: a single
-    # (n, n) x (n, R*q) product is large enough for OpenBLAS to spread over
-    # threads, which costs more than it saves at these sizes
-    V = model.chol_inv @ Kx.reshape(R, q, n).transpose(0, 2, 1)
-    blocks = np.arange(R)
-    Kss = K[:, n:].reshape(R, q, R, q)[blocks, :, blocks, :]
-    cov = Kss - V.transpose(0, 2, 1) @ V
-    mean = Kx @ model.alpha
-    return mean.reshape(XS.shape[:-1]), cov.reshape(XS.shape[:-1] + (q,))
+    Kx, Kss = K[..., :n], K[..., n:]
+    V = model.chol_inv @ Kx.swapaxes(-1, -2)
+    # one flat product keeps the means' rounding; a stacked Kx @ alpha
+    # changes their last bits
+    mean = (Kx.reshape(-1, n) @ model.alpha).reshape(XS.shape[:-1])
+    return mean, Kss - V.swapaxes(-1, -2) @ V
 
 
 def joint_posterior_samples(model: GpModel, XS: np.ndarray,
@@ -342,24 +336,18 @@ def joint_posterior_samples(model: GpModel, XS: np.ndarray,
     draws, one row per sample; holding it fixed keeps the sample path
     deterministic while XS varies. A (q, d) XS gives (n_samples, q) draws
     and a stack of R batches, (R, q, d), gives (R, n_samples, q), every
-    batch drawn from the same base normals. A lone batch is a stack of one:
-    one ``_chol_with_jitter`` call factors every batch's (q, q) covariance,
-    and one product of the base normals with [L_1^T ... L_R^T] draws them
-    all.
+    batch drawn from the same base normals as L @ base_normals^T, with L
+    the Cholesky factor of its covariance.
     """
     XS = np.asarray(XS, dtype=float)
     if XS.ndim not in (2, 3):
         raise ValueError("XS must be a (q, d) batch or an (R, q, d) stack")
     mean, cov = joint_posterior_mvn(model, XS)
-    q = cov.shape[-1]
-    if base_normals.ndim != 2 or base_normals.shape[1] != q:
+    if base_normals.ndim != 2 or base_normals.shape[1] != cov.shape[-1]:
         raise ValueError("base_normals shape mismatch")
-    L = _chol_with_jitter(cov.reshape(-1, q, q))[0]
-    R = L.shape[0]
-    samples = base_normals @ L.transpose(2, 0, 1).reshape(q, R * q)
-    samples += mean.reshape(R * q)
-    samples = samples.reshape(-1, R, q).transpose(1, 0, 2)
-    return samples.reshape(XS.shape[:-2] + samples.shape[1:])
+    samples = _chol_with_jitter(cov)[0] @ base_normals.T
+    samples += mean[..., None]
+    return samples.swapaxes(-1, -2)
 
 
 def destandardize(model: GpModel, g: PosteriorGaussian) -> PosteriorGaussian:

@@ -2,9 +2,10 @@
 of its log-lengthscale derivatives with a weight matrix, and the Monte Carlo
 batch reductions of sampled improvement and feasibility.
 
-The n x m kernels work in place on as few full-size arrays as they can: each
-GP fit at n = 150-180 calls them hundreds of times, and their temporaries
-are what the process's peak memory grows by.
+``matern52_cross`` treats leading axes as a stack of batches. The n x m
+kernels work in place on as few full-size arrays as they can: each GP fit
+at n = 150-180 calls them hundreds of times, and their temporaries are
+what the process's peak memory grows by.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ def _scaled_distances(A, B, lengthscales):
     distances r (r2 clamped at 0) and exp(-sqrt5 r)."""
     SA = A / lengthscales
     SB = B / lengthscales
-    r2 = np.sum(SA * SA, axis=1)[:, None] + np.sum(SB * SB, axis=1)[None, :]
-    r2 -= 2.0 * SA @ SB.T
+    r2 = np.sum(SA * SA, axis=-1)[..., None] + np.sum(SB * SB, axis=-1)[..., None, :]
+    r2 -= 2.0 * SA @ SB.swapaxes(-1, -2)
     r = np.maximum(r2, 0.0)
     np.sqrt(r, out=r)
     e = np.multiply(-_SQRT5, r)
@@ -32,7 +33,8 @@ def _scaled_distances(A, B, lengthscales):
 
 
 def matern52_cross(A, B, lengthscales, signal_variance):
-    """s2 (1 + sqrt5 r + 5/3 r^2) exp(-sqrt5 r) for every row pair of A, B."""
+    """s2 (1 + sqrt5 r + 5/3 r^2) exp(-sqrt5 r) for every row pair of A, B:
+    (m, d) and (k, d) give (m, k); leading stack axes broadcast."""
     _, _, r2, r, e = _scaled_distances(A, B, lengthscales)
     K = np.multiply(_SQRT5, r, out=r)
     K += 1.0

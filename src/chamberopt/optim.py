@@ -10,10 +10,11 @@ The screen scores its candidate batches in stacked chunks of
 the Cholesky factorization and the sampling product among the chunk's
 batches, which makes a candidate at least twice as cheap as scoring it
 alone. ``gp._chol_with_jitter`` factors a chunk in one call and escalates
-jitter only for a stack of one, so a chunk that fails is rescored one batch
-at a time: jitter escalation and the -inf score of a failed batch work per
-batch. Four batches per chunk keep the chunk's draws (4 x mc_samples x q
-doubles of one channel at a time) small next to the process's fixed memory.
+jitter only for a lone batch or a stack of one, so a chunk that fails is
+rescored one batch at a time: jitter escalation and the -inf score of a
+failed batch work per batch. Four batches per chunk keep the chunk's draws
+(4 x mc_samples x q doubles of one channel at a time) small next to the
+process's fixed memory.
 """
 
 from __future__ import annotations

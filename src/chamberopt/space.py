@@ -8,9 +8,11 @@ coordinates appear only at the evaluator boundary and in reports.
 Each settings type checks its own fields with two rules when it is built, so
 a file reader only builds the types. An integer (``count``) is a Python
 ``int``: JSON true/false load as ``bool``, which Python counts as an int,
-and JSON cannot write back a numpy integer. A finite number (``real``) is
-an ``int`` or ``float``, not a ``bool``, NaN, +-inf or an int beyond the
-float range. A coordinate is tested as ``lower <= x <= upper``: NaN fails.
+and JSON cannot write back a numpy integer; it is at most ``sys.maxsize``,
+numpy's index range, so a larger count fails at load and not in numpy after
+a full fit. A finite number (``real``) is an ``int`` or ``float``, not a
+``bool``, NaN, +-inf or an int beyond the float range. A coordinate is
+tested as ``lower <= x <= upper``: NaN fails.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ from .errors import BoundsViolationError
 
 
 def count(value, name: str, least: int = 0) -> int:
-    """``value`` if it is an integer >= ``least``, else a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name!r} must be an integer >= {least}, got {value!r}")
+    """``value`` if it is an integer in [``least``, sys.maxsize], else a
+    ValueError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not least <= value <= sys.maxsize):
+        raise ValueError(f"{name!r} must be an integer in [{least}, "
+                         f"{sys.maxsize}], got {value!r}")
     return value
 
 

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import chamberopt
 from chamberopt.campaign import STATE_VERSION, load_state, save_state
-from chamberopt.cli import (EXIT_IO, EXIT_OK, EXIT_PROTOCOL, EXIT_STATE,
-                            EXIT_USAGE, main)
+from chamberopt.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_PROTOCOL,
+                            EXIT_STATE, EXIT_USAGE, main)
 from chamberopt.errors import StateFileError
-from chamberopt.evaluators import proxy_prechamber, read_proposals
+from chamberopt.evaluators import QUADRATIC_SPACE, proxy_prechamber, read_proposals
 from chamberopt.space import PRECHAMBER_SPACE
 
 FAST = ["--raw-samples", "16", "--restarts", "2", "--mc-samples", "128"]
@@ -257,11 +257,17 @@ def _nan_signal_variance(doc):
                              "signal_variance": float("nan"), "noise_std": 0.005}
 
 
+def _huge_mc_samples(doc):
+    # beyond numpy's index range: refused at load, not after the fits
+    doc["acq"]["mc_samples"] = 10**400
+
+
 @pytest.mark.parametrize("corrupt", [_out_of_bounds, _duplicate_row, _nan_k,
                                      _removed_ucb_kind, _boolean_k, _boolean_v,
                                      _int_tag, _boolean_coordinate,
                                      _huge_int_k, _nan_coordinate, _string_lower,
-                                     _integer_name, _nan_signal_variance])
+                                     _integer_name, _nan_signal_variance,
+                                     _huge_mc_samples])
 def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     d = _doe_ingested(tmp_path)
     before = _edit_state(d, corrupt)
@@ -273,6 +279,36 @@ def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
                    _out_of_bounds, _duplicate_row, _nan_k, _nan_coordinate):
         assert "dataset[" in err
     assert (d / "state.json").read_bytes() == before
+
+
+def test_out_of_memory_is_numeric_error(tmp_path, capsys, monkeypatch):
+    d = _doe_ingested(tmp_path)
+    before = (d / "state.json").read_bytes()
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(chamberopt.campaign, "propose_batch", no_memory)
+    capsys.readouterr()
+    assert main(["propose", "--dir", str(d)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "Traceback" not in err
+    assert (d / "state.json").read_bytes() == before
+
+
+def test_init_threshold_defaults_to_the_embedded_evaluator_own(tmp_path, capsys):
+    path = _config(tmp_path, "quadratic")
+    cfg = json.loads(path.read_text())
+    cfg["space"] = QUADRATIC_SPACE.to_config()
+    for given, stored in ((None, 1.0), (1.5, 1.5)):
+        if given is None:
+            del cfg["acq"]["constraint_threshold"]
+        else:
+            cfg["acq"]["constraint_threshold"] = given
+        path.write_text(json.dumps(cfg))
+        d = tmp_path / f"camp_{given}"
+        assert main(["init", "--config", str(path), "--dir", str(d)]) == EXIT_OK
+        assert load_state(d / "state.json").acq.constraint_threshold == stored
 
 
 def test_embedded_propose_reports_the_evaluated_iteration(tmp_path, capsys):
@@ -388,6 +424,10 @@ def _boolean_upper(cfg):
     cfg["space"][1].update(lower=0, upper=True)
 
 
+def _huge_raw_samples(cfg):
+    cfg["budget"]["raw_samples"] = 10**400
+
+
 @pytest.mark.parametrize("edit, field", [
     (_no_space, "space"),
     (_unknown_acq_key, "acq"),
@@ -416,6 +456,7 @@ def _boolean_upper(cfg):
     (_string_lower, "space[0].lower"),
     (_boolean_upper, "space[1].upper"),
     (_integer_name, "space[2].name"),
+    (_huge_raw_samples, "raw_samples"),
 ])
 def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
     path = _config(tmp_path)
@@ -524,6 +565,7 @@ def test_corrupt_pending_entry_is_io_error(tmp_path, capsys, corrupt, field):
     ("propose", "evaluator", ["proxy"]),
     ("propose", "evaluator", "bogus"),
     ("ingest", "iteration", 100),
+    pytest.param("propose", "rng_seed", 10**400, id="propose-rng_seed-10**400"),
 ])
 def test_mistyped_state_scalar_is_io_error(tmp_path, capsys, command, field,
                                            value):

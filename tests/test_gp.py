@@ -291,26 +291,38 @@ def test_joint_samples_covariance_converges():
     np.testing.assert_allclose(emp / scale, cov / scale, atol=0.01)
 
 
-def test_joint_samples_deterministic():
+# a lone (q, d) batch and an (R, q, d) stack of batches
+_BATCH_SHAPES = pytest.mark.parametrize("shape", [(4, 2), (3, 4, 2)],
+                                        ids=["batch", "stack"])
+
+
+@_BATCH_SHAPES
+def test_joint_samples_deterministic(shape):
     rng = np.random.default_rng(14)
     m = _toy_model(rng)
-    xs = np.array([[0.3, 0.3]])
-    a = joint_posterior_samples(m, xs, _normals(5, 64, 1))
-    b = joint_posterior_samples(m, xs, _normals(5, 64, 1))
+    xs = rng.uniform(size=shape)
+    a = joint_posterior_samples(m, xs, _normals(5, 64, 4))
+    b = joint_posterior_samples(m, xs, _normals(5, 64, 4))
+    assert a.shape == shape[:-2] + (64, 4)
     np.testing.assert_array_equal(a, b)
 
 
-def test_joint_mvn_matches_dense_oracle():
+@_BATCH_SHAPES
+def test_joint_mvn_matches_dense_oracle(shape):
     rng = np.random.default_rng(15)
     m = _toy_model(rng)
-    xs = rng.uniform(size=(4, 2))
+    xs = rng.uniform(size=shape)
     mean, cov = joint_posterior_mvn(m, xs)
-    om, oc = dense_joint_covariance(m.train_inputs, m.train_targets,
-                                    m.hyper.lengthscales,
-                                    m.hyper.signal_variance,
-                                    m.hyper.noise_std, xs)
-    np.testing.assert_allclose(mean, om, atol=1e-8)
-    np.testing.assert_allclose(cov, oc, atol=1e-8)
+    assert mean.shape == shape[:-1] and cov.shape == shape[:-1] + (4,)
+    # each block is the posterior of its batch alone
+    for x, mean_i, cov_i in zip(xs.reshape(-1, 4, 2), mean.reshape(-1, 4),
+                                cov.reshape(-1, 4, 4)):
+        om, oc = dense_joint_covariance(m.train_inputs, m.train_targets,
+                                        m.hyper.lengthscales,
+                                        m.hyper.signal_variance,
+                                        m.hyper.noise_std, x)
+        np.testing.assert_allclose(mean_i, om, atol=1e-8)
+        np.testing.assert_allclose(cov_i, oc, atol=1e-8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
