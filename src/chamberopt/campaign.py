@@ -287,6 +287,8 @@ def save_state(state: CampaignState, path: str) -> None:
     try:
         with os.fdopen(fd, "w") as f:
             json.dump(doc, f, indent=1)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -298,7 +300,7 @@ def load_state(path: str) -> CampaignState:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise StateFileError(f"corrupt state file {path}: {e}") from e
     except OSError as e:
         raise StateFileError(f"cannot read state file {path}: {e}") from e

@@ -100,7 +100,10 @@ def _config_section(cfg: dict, key: str, cls):
 
 def _cmd_init(args):
     with open(args.config) as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except RecursionError as e:
+            raise ValueError(f"{args.config}: config nests too deeply: {e}") from e
     if not isinstance(cfg, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
     unknown = sorted(set(cfg) - set(_CONFIG_KEYS))

@@ -138,27 +138,32 @@ def read_results(path, expected_ids) -> list[tuple[str, float, float]]:
         f = open(path, newline="")
     except OSError as e:
         raise ProtocolError(f"cannot read results file {path}: {e}") from e
-    with f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["id", "k", "v_mag"]:
-            raise ProtocolError(f"expected header id,k,v_mag in {path}, got {header}")
-        out = []
-        seen = set()
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            pid = row[0]
-            if pid in seen:
-                raise ProtocolError(f"duplicate result id {pid!r}")
-            seen.add(pid)
-            try:
-                k, v = float(row[1]), float(row[2])
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from e
-            if not (math.isfinite(k) and math.isfinite(v)):
-                raise DataError(f"{path}:{lineno}: non-finite value for id {pid!r}")
-            out.append((pid, k, v))
+    try:
+        with f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header != ["id", "k", "v_mag"]:
+                raise ProtocolError(
+                    f"expected header id,k,v_mag in {path}, got {header}")
+            out = []
+            seen = set()
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    raise DataError(
+                        f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+                pid = row[0]
+                if pid in seen:
+                    raise ProtocolError(f"duplicate result id {pid!r}")
+                seen.add(pid)
+                try:
+                    k, v = float(row[1]), float(row[2])
+                except ValueError as e:
+                    raise DataError(f"{path}:{lineno}: {e}") from e
+                if not (math.isfinite(k) and math.isfinite(v)):
+                    raise DataError(f"{path}:{lineno}: non-finite value for id {pid!r}")
+                out.append((pid, k, v))
+    except (csv.Error, UnicodeDecodeError) as e:
+        raise DataError(f"cannot parse results file {path}: {e}") from e
 
     expected = set(expected_ids)
     got = {pid for pid, _, _ in out}

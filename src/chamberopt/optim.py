@@ -2,10 +2,16 @@
 
 Derivative-free: a raw screen of a Latin hypercube design over all q*d batch
 coordinates (``space.unit_latin_hypercube``, the DOE's sampler) followed by
-pattern-search refinement of the best starts. Fixed Monte Carlo base draws
-make the surface deterministic within one run.
+pattern-search refinement of the best starts, all in lockstep. Fixed Monte
+Carlo base draws make the surface deterministic within one run.
 
-The screen scores its candidate batches in stacked chunks of
+Each sweep polls completely, scoring every coordinate move of every live
+restart before any restart moves: a first-improvement poll picks its next
+move from the last score, so it scores lone batches, while a complete poll
+is still a generalized pattern search (Audet & Dennis 2003) and makes a
+sweep of all restarts one stack.
+
+``_screen`` scores the raw screen and every sweep in stacked chunks of
 ``_SCREEN_CHUNK``: one acquisition call per chunk shares the kernel call,
 the Cholesky factorization and the sampling product among the chunk's
 batches, which makes a candidate at least twice as cheap as scoring it
@@ -35,7 +41,7 @@ _STEP_MIN = 1e-4
 # restart ends after at most _MAX_SWEEPS sweeps
 _GAIN_TOL = 1e-6
 _MAX_SWEEPS = 200
-# candidate batches per stacked acquisition call of the raw screen
+# candidate batches per stacked acquisition call
 _SCREEN_CHUNK = 4
 
 
@@ -49,31 +55,28 @@ class OptimizerBudget:
         count(self.restarts, "restarts", 1)
 
 
-def _pattern_search(objective, x0, f0):
-    """Coordinate pattern search with shrinking step, projected to [0, 1]."""
-    x, fx = x0.copy(), f0
-    step = _STEP_INIT
+def _pattern_search(acquisition, x0, f0):
+    """Coordinate pattern search, projected to [0, 1], of an (R, q, d) stack
+    of starts scoring ``f0``: each restart takes its best move if it gains,
+    else halves its step."""
+    x, fx = x0.copy(), f0.copy()
+    n = x[0].size
+    moves = np.vstack([np.eye(n), -np.eye(n)]).reshape(2 * n, *x.shape[1:])
+    step = np.full(len(x), _STEP_INIT)
+    live = np.ones(len(x), dtype=bool)
     for _ in range(_MAX_SWEEPS):
-        improved = False
-        gain = 0.0
-        for i in range(x.size):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] = min(1.0, max(0.0, cand[i] + sign * step))
-                if cand[i] == x[i]:
-                    continue
-                fc = objective(cand)
-                if fc > fx:
-                    gain += fc - fx
-                    x, fx = cand, fc
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
-            if step < _STEP_MIN:
-                break
-        elif gain < _GAIN_TOL:
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
+        cand = np.clip(x[rows, None] + step[rows, None, None, None] * moves, 0.0, 1.0)
+        fc = _screen(acquisition, cand.reshape(-1, *x.shape[1:])).reshape(rows.size, -1)
+        best = np.argmax(fc, axis=1)
+        f_best = fc[np.arange(rows.size), best]
+        up = f_best > fx[rows]
+        live[rows[up]] = f_best[up] - fx[rows[up]] >= _GAIN_TOL
+        x[rows[up]], fx[rows[up]] = cand[up, best[up]], f_best[up]
+        step[rows[~up]] *= 0.5
+        live[rows[~up]] = step[rows[~up]] >= _STEP_MIN
     return x, fx
 
 
@@ -116,16 +119,8 @@ def propose_batch(model_k: GpModel, model_v: GpModel, config: AcquisitionConfig,
             return qcei_mc(model_k, model_v, XS, incumbent_value,
                            config.constraint_threshold, base_k, base_v)
 
-    raw = unit_latin_hypercube(budget.raw_samples, q * d, rng)
-    scores = _screen(acquisition, raw.reshape(-1, q, d))
+    raw = unit_latin_hypercube(budget.raw_samples, q * d, rng).reshape(-1, q, d)
+    scores = _screen(acquisition, raw)
     order = np.argsort(-scores, kind="stable")[:budget.restarts]
-
-    def objective(flat):
-        return _score(acquisition, flat.reshape(q, d))
-
-    best_x, best_f = raw[order[0]], scores[order[0]]
-    for idx in order:
-        x, f = _pattern_search(objective, raw[idx], scores[idx])
-        if f > best_f:
-            best_x, best_f = x, f
-    return best_x.reshape(q, d)
+    x, fx = _pattern_search(acquisition, raw[order], scores[order])
+    return x[np.argmax(fx)]

@@ -285,6 +285,25 @@ def test_save_is_atomic(tmp_path):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".state-")]
 
 
+def test_save_fsyncs_the_temp_file_before_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_state(_embedded(), tmp_path / "state.json")
+    assert events[-1][0] == "replace"
+    assert ("fsync", events[-1][1]) in events[:-1]
+
+
 def test_resume_matches_straight_through(tmp_path):
     straight = run_campaign(_embedded(seed=8), 2)
     resumed = run_campaign(_embedded(seed=8), 1)

@@ -135,15 +135,40 @@ def test_external_workflow_init_propose_ingest(tmp_path, capsys):
     assert main(["report", "--dir", str(d)]) == EXIT_OK
 
 
-def test_ingest_mismatched_ids_is_protocol_error(tmp_path, capsys):
+@pytest.mark.parametrize("content", [
+    b"id,k,v_mag\nwrong_id,1.0,2.0\n",
+    b"id,k,v_mag\n" + b"x" * 131_073 + b",1.0,2.0\n",   # over csv's field limit
+    b"\xff\xfe",                                         # not UTF-8
+], ids=["wrong_id", "huge_field", "invalid_utf8"])
+def test_ingest_mismatched_ids_is_protocol_error(tmp_path, capsys, content):
     cfg = _config(tmp_path)
     d = tmp_path / "camp"
     main(["init", "--config", str(cfg), "--dir", str(d)])
     bad = d / "bad.csv"
-    bad.write_text("id,k,v_mag\nwrong_id,1.0,2.0\n")
+    bad.write_bytes(content)
     before = (d / "state.json").read_bytes()
     assert main(["ingest", str(bad), "--dir", str(d)]) == EXIT_PROTOCOL
+    assert "Traceback" not in capsys.readouterr().err
     assert (d / "state.json").read_bytes() == before
+
+
+_DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["report", "init"])
+def test_deeply_nested_json_gets_its_exit_code(tmp_path, capsys, command):
+    d = tmp_path / "camp"
+    if command == "report":
+        main(["init", "--config", str(_config(tmp_path)), "--dir", str(d)])
+        (d / "state.json").write_bytes(_DEEP_JSON)
+        assert main(["report", "--dir", str(d)]) == EXIT_IO
+        assert (d / "state.json").read_bytes() == _DEEP_JSON
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(_DEEP_JSON)
+        assert main(["init", "--config", str(cfg), "--dir", str(d)]) == EXIT_USAGE
+        assert not (d / "state.json").exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_report_on_fresh_external_init(tmp_path, capsys):

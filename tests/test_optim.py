@@ -197,3 +197,46 @@ def test_singular_batch_in_screen_scores_alone():
     assert scores[3] == optim._score(acquisition, singular[3])
     others = np.arange(len(stack)) != 3
     np.testing.assert_allclose(scores[others], plain[others], rtol=1e-10, atol=0.0)
+
+
+def test_refinement_scores_stacks_only(monkeypatch):
+    # the screen and every pattern-search sweep score (R, q, d) stacks
+    mk, mv = _planted_models([0.7, 0.2], seed=10)
+    shapes = []
+
+    def recorded(fn, xs_arg):
+        def wrapper(*args, **kwargs):
+            shapes.append(args[xs_arg].ndim)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(optim, "qcei_mc", recorded(optim.qcei_mc, 2))
+    monkeypatch.setattr(optim, "q_feasibility_mc",
+                        recorded(optim.q_feasibility_mc, 1))
+    config = AcquisitionConfig(constraint_threshold=25.0, batch_size=2,
+                               mc_samples=128)
+    budget = OptimizerBudget(raw_samples=16, restarts=3)
+    for incumbent_value in (1.0, None):
+        shapes.clear()
+        propose_batch(mk, mv, config, budget, seed=4,
+                      incumbent_value=incumbent_value)
+        assert len(shapes) > 16 // optim._SCREEN_CHUNK
+        assert set(shapes) == {3}
+
+
+def test_lockstep_restarts_end_independently():
+    # a bowl steep enough that every restart ends on _STEP_MIN: on a unit
+    # bowl a move near c gains less than _GAIN_TOL about 1e-3 away from it
+    c = np.array([[0.3, 0.6], [0.55, 0.2]])
+    calls = []
+
+    def acquisition(XS):
+        calls.append(XS.shape)
+        return -1e6 * np.sum((XS - c) ** 2, axis=(-2, -1))
+
+    x0 = np.stack([np.full((2, 2), 0.9), c, np.zeros((2, 2))])
+    x, fx = optim._pattern_search(acquisition, x0, acquisition(x0))
+    assert np.all(np.abs(x - c) <= 2 * optim._STEP_MIN)
+    np.testing.assert_array_equal(x[1], c)
+    np.testing.assert_array_equal(fx, acquisition(x))
+    assert all(len(shape) == 3 for shape in calls)
