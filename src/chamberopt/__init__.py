@@ -13,8 +13,7 @@ from .campaign import (CampaignState, best_so_far, step, ingest, init_campaign,
 from .evaluators import (Dataset, Observation, benchmark_quadratic,
                          proxy_prechamber, read_results, write_proposals)
 from .gp import (GpHyperparameters, GpModel, PosteriorGaussian, destandardize,
-                 fit, joint_posterior_samples, matern_kernel, posterior,
-                 posterior_at)
+                 fit, joint_posterior_samples, posterior, posterior_at)
 from .optim import OptimizerBudget, propose_batch
 from .space import (PRECHAMBER_SPACE, Dimension, ParameterSpace,
                     latin_hypercube)

@@ -130,12 +130,13 @@ def fit_models(state: CampaignState) -> tuple[GpModel, GpModel]:
 
 
 def _separate_batch(batch_u: np.ndarray, existing_u: np.ndarray,
-                    rng: np.random.Generator, min_dist: float = 1e-9) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """Nudge batch points that coincide with existing data or each other.
 
-    The dataset rejects duplicates below 1e-10 unit distance; a degenerate
+    The dataset rejects points closer than ``Dataset.MIN_GAP``; a degenerate
     acquisition surface can collapse batch points onto one optimum.
     """
+    min_dist = 10 * Dataset.MIN_GAP         # clear of that rule
     out = batch_u.copy()
     for j in range(out.shape[0]):
         others = np.vstack([existing_u, out[:j]]) if j else existing_u

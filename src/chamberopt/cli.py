@@ -14,7 +14,7 @@ from .errors import (BoundsViolationError, DataError, DegenerateDataError,
                      StateFileError)
 from .evaluators import EVALUATORS, write_proposals
 from .optim import OptimizerBudget
-from .report import emit_slices, emit_table
+from .report import DEFAULT_SLICE_RESOLUTION, emit_slices, emit_table
 from .space import ParameterSpace
 
 EXIT_OK = 0
@@ -31,6 +31,15 @@ _CONFIG_KEYS = ("space", "acq", "budget", "doe_n", "seed", "evaluator")
 
 def _state_path(dirname: str) -> str:
     return os.path.join(dirname, "state.json")
+
+
+def _new_state_path(dirname: str) -> str:
+    """The state path for a new campaign; a directory that already holds one
+    is refused, so ``init`` and ``run`` never overwrite its results."""
+    path = _state_path(dirname)
+    if os.path.exists(path):
+        raise InvalidStateError(f"{path} already exists; use another --dir")
+    return path
 
 
 def _add_dir_arg(p):
@@ -74,7 +83,7 @@ def _parser():
 
     sp = sub.add_parser("slices", help="write surrogate slice grids")
     _add_dir_arg(sp)
-    sp.add_argument("--resolution", type=int, default=101)
+    sp.add_argument("--resolution", type=int, default=DEFAULT_SLICE_RESOLUTION)
     return p
 
 
@@ -99,6 +108,7 @@ def _config_section(cfg: dict, key: str, cls):
 
 
 def _cmd_init(args):
+    state_path = _new_state_path(args.dir)
     with open(args.config) as f:
         try:
             cfg = json.load(f)
@@ -122,7 +132,7 @@ def _cmd_init(args):
         path = os.path.join(args.dir, "proposals_iter0.csv")
         write_proposals(path, space, [list(x) for _, x in state.pending], 0)
         print(f"wrote {path} ({len(state.pending)} DOE proposals)")
-    camp.save_state(state, _state_path(args.dir))
+    camp.save_state(state, state_path)
     print(f"campaign initialized in {args.dir}")
     return EXIT_OK
 
@@ -148,6 +158,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_run(args):
+    state_path = _new_state_path(args.dir)
     space = EVALUATORS[args.evaluator][1]
     thr = {} if args.threshold is None else {"constraint_threshold": args.threshold}
     acq = _acquisition(args.evaluator, mc_samples=args.mc_samples,
@@ -157,7 +168,7 @@ def _cmd_run(args):
                                seed=args.seed, evaluator=args.evaluator)
     state = camp.run_campaign(state, args.iters)
     os.makedirs(args.dir, exist_ok=True)
-    camp.save_state(state, _state_path(args.dir))
+    camp.save_state(state, state_path)
     print(emit_table(state, args.dir))
     return EXIT_OK
 

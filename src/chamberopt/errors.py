@@ -10,7 +10,7 @@ class BoundsViolationError(ChamberOptError):
 
 
 class DegenerateDataError(ChamberOptError):
-    """Training data is unusable (duplicates, too few points)."""
+    """Training data has too few points."""
 
 
 class NumericError(ChamberOptError):

@@ -29,7 +29,10 @@ class Observation:
 
 @dataclass
 class Dataset:
-    """Ordered observations with duplicate-input protection in unit space."""
+    """Ordered observations, no two closer than ``MIN_GAP`` in unit space:
+    the one owner of that distinct-points rule."""
+
+    MIN_GAP = 1e-10             # unannotated, so a class constant, not a field
 
     space: ParameterSpace
     rows: list[Observation] = field(default_factory=list)
@@ -56,7 +59,7 @@ class Dataset:
         u_new = self.space.to_unit(np.asarray(obs.x))
         if self.rows:
             d = np.linalg.norm(self.unit_inputs() - u_new, axis=1)
-            if np.min(d) < 1e-10:
+            if np.min(d) < self.MIN_GAP:
                 raise DataError(
                     f"duplicate design point {obs.x} (matches row {int(np.argmin(d))})"
                 )

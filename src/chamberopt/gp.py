@@ -90,16 +90,6 @@ class PosteriorGaussian:
             raise ValueError("posterior std must be nonnegative")
 
 
-def matern_kernel(a: np.ndarray, b: np.ndarray, hyper: GpHyperparameters) -> float:
-    """Matern-5/2 covariance between two unit-cube points."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape or a.shape[0] != hyper.lengthscales.shape[0]:
-        raise ValueError("dimension mismatch between points and lengthscales")
-    return float(matern52_cross(a[None, :], b[None, :],
-                                hyper.lengthscales, hyper.signal_variance)[0, 0])
-
-
 def _plus_diagonal(K: np.ndarray, value: float) -> np.ndarray:
     """K + value * I for a matrix or each matrix of a stack, built without an
     identity matrix."""
@@ -182,9 +172,10 @@ def _factor(K: np.ndarray, y: np.ndarray,
     return L_inv, alpha, lml
 
 
-def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
-                 noise_std: float = NOISE_STD) -> tuple[float, np.ndarray]:
-    """LML and its gradient w.r.t. log-lengthscales and log-signal-variance.
+def lml_and_grad(X: np.ndarray, y: np.ndarray,
+                 log_params: np.ndarray) -> tuple[float, np.ndarray]:
+    """LML and its gradient w.r.t. log-lengthscales and log-signal-variance,
+    at the fixed noise ``NOISE_STD``.
 
     log_params = (log l_1..log l_d, log s2). With Kn = K + noise^2 I and
     alpha = Kn^-1 y, dLML/dtheta = 1/2 tr(M dK/dtheta) with
@@ -198,7 +189,7 @@ def lml_and_grad(X: np.ndarray, y: np.ndarray, log_params: np.ndarray,
     s2 = np.exp(log_params[-1])
 
     K = matern52_cross(X, X, ls, s2)
-    L_inv, alpha, lml = _factor(K, y, noise_std)
+    L_inv, alpha, lml = _factor(K, y, NOISE_STD)
     M = L_inv.T @ L_inv
     del L_inv
     np.negative(M, out=M)
@@ -217,6 +208,10 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
     likelihood by multi-start ``minimize_box`` on log-parameters.
     Deterministic given the seed; restart ties are broken by lowest restart
     index.
+
+    Coincident inputs are repeated noisy observations of one latent value:
+    the fixed noise keeps the covariance positive definite (GPML Sec. 2.2).
+    Keeping campaign points distinct is ``evaluators.Dataset``'s rule.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y_raw = np.asarray(raw_targets, dtype=float)
@@ -225,18 +220,6 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
         raise DegenerateDataError("need at least 2 training points")
     if y_raw.shape != (n,):
         raise ValueError("targets must match input count")
-    # one dimension at a time: no (n, n, d) difference tensor
-    dist2, delta = np.zeros((n, n)), np.empty((n, n))
-    for col in X.T:
-        np.subtract.outer(col, col, out=delta)
-        delta *= delta
-        dist2 += delta
-    del delta
-    np.fill_diagonal(dist2, np.inf)
-    i, j = np.unravel_index(np.argmin(dist2), dist2.shape)
-    if np.sqrt(dist2[i, j]) < 1e-10:
-        raise DegenerateDataError(f"duplicate training inputs at rows {i} and {j}")
-    del dist2
 
     spec = standardization_for(y_raw, channel)
     y = (y_raw - spec.center) / spec.scale

@@ -200,6 +200,20 @@ def _doe_ingested(tmp_path):
     return d
 
 
+@pytest.mark.parametrize("command", ["init", "run"])
+def test_new_campaign_refuses_a_live_one(tmp_path, capsys, command):
+    d = _doe_ingested(tmp_path)
+    assert main(["propose", "--dir", str(d)]) == EXIT_OK
+    before = {p: p.read_bytes() for p in d.iterdir()}
+    capsys.readouterr()
+    args = (["init", "--config", str(_config(tmp_path)), "--dir", str(d)]
+            if command == "init" else _run_args(d))
+    assert main(args) == EXIT_STATE
+    err = capsys.readouterr().err
+    assert "state.json" in err and "Traceback" not in err
+    assert {p: p.read_bytes() for p in d.iterdir()} == before
+
+
 def _edit_state(d, edit):
     doc = json.loads((d / "state.json").read_text())
     edit(doc)

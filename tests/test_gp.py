@@ -9,8 +9,9 @@ from chamberopt.evaluators import (QUADRATIC_SPACE, benchmark_quadratic,
                                   proxy_prechamber)
 from chamberopt.gp import (GpHyperparameters, PosteriorGaussian, destandardize,
                            fit, joint_posterior_mvn, joint_posterior_samples,
-                           lml_and_grad, matern_kernel, model_from_hyper,
-                           posterior, posterior_at, standardization_for)
+                           lml_and_grad, model_from_hyper, posterior,
+                           posterior_at, standardization_for)
+from chamberopt.kernels import matern52_cross
 from chamberopt.space import PRECHAMBER_SPACE, latin_hypercube
 
 from oracles import (dense_joint_covariance, dense_lml, dense_lml_grad,
@@ -27,29 +28,22 @@ def _random_dataset(rng, n, d):
 
 
 def test_matern_at_zero_distance_is_signal_variance():
-    h = GpHyperparameters(lengthscales=np.array([0.3, 0.7]), signal_variance=2.4)
-    a = np.array([0.2, 0.9])
-    assert matern_kernel(a, a, h) == pytest.approx(2.4)
+    a = np.array([[0.2, 0.9]])
+    k = matern52_cross(a, a, np.array([0.3, 0.7]), 2.4)
+    assert k[0, 0] == pytest.approx(2.4)
 
 
 def test_matern_value_at_unit_scaled_distance():
     # (1 + sqrt5 + 5/3) * exp(-sqrt5), evaluated with mpmath to 12 digits
-    h = GpHyperparameters(lengthscales=np.array([1.0]), signal_variance=1.0)
-    v = matern_kernel(np.array([0.0]), np.array([1.0]), h)
-    assert v == pytest.approx(0.523994108832, abs=1e-10)
+    v = matern52_cross(np.array([[0.0]]), np.array([[1.0]]), np.array([1.0]), 1.0)
+    assert v[0, 0] == pytest.approx(0.523994108832, abs=1e-10)
 
 
 def test_matern_symmetry():
     rng = np.random.default_rng(0)
-    h = GpHyperparameters(lengthscales=rng.uniform(0.1, 1, 3), signal_variance=1.3)
-    a, b = rng.uniform(size=3), rng.uniform(size=3)
-    assert matern_kernel(a, b, h) == matern_kernel(b, a, h)
-
-
-def test_matern_dimension_mismatch():
-    h = GpHyperparameters(lengthscales=np.array([1.0, 1.0]), signal_variance=1.0)
-    with pytest.raises(ValueError):
-        matern_kernel(np.array([0.0]), np.array([0.0]), h)
+    ls = rng.uniform(0.1, 1, 3)
+    a, b = rng.uniform(size=(1, 3)), rng.uniform(size=(1, 3))
+    assert matern52_cross(a, b, ls, 1.3)[0, 0] == matern52_cross(b, a, ls, 1.3)[0, 0]
 
 
 # ------------------------------------------------------------ standardization
@@ -135,10 +129,15 @@ def test_fit_rejects_too_few_points():
         fit(np.array([[0.5]]), np.array([1.0]), "objective", seed=0)
 
 
-def test_fit_rejects_duplicates():
+def test_fit_accepts_coincident_inputs():
+    # repeated noisy observations of one latent value: the posterior mean
+    # there falls between them
     X = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.9]])
-    with pytest.raises(DegenerateDataError):
-        fit(X, np.array([1.0, 2.0, 3.0]), "objective", seed=0)
+    m = fit(X, np.array([1.0, 2.0, 3.0]), "objective", seed=0)
+    assert np.isfinite(m.hyper.lengthscales).all()
+    assert np.isfinite(m.hyper.signal_variance)
+    g = destandardize(m, posterior_at(m, np.array([0.5, 0.5])))
+    assert 1.0 < g.mean < 2.0
 
 
 def test_fit_deterministic_given_seed():
