@@ -81,10 +81,7 @@ def _append_batch(state: CampaignState, batch, rows) -> CampaignState:
     x_of = dict(batch)
     is_doe = state.iteration == 0 and len(state.dataset) == 0
     tag = "doe" if is_doe else f"bo_iter_{state.iteration + 1}"
-    trial = Dataset(space=state.space, rows=list(state.dataset.rows))
-    for pid, k, v in rows:
-        trial.append(Observation(x_of[pid], k, v, tag))
-    state.dataset = trial
+    state.dataset.append(*(Observation(x_of[pid], k, v, tag) for pid, k, v in rows))
     state.pending = []
     if not is_doe:
         state.iteration += 1
@@ -245,25 +242,27 @@ def _hyper_from_json(doc, key: str):
 def _records_from_json(doc, space: ParameterSpace):
     """The dataset and the pending (id, x) proposals of a state document;
     an error names the record, as ``dataset[i]`` or ``pending[i]``."""
-    dataset, pending = Dataset(space=space), {}  # append checks bounds, duplicates
+    rows, pending = [], {}
     for key in ("dataset", "pending"):
         for i, r in enumerate(doc[key]):
             try:
                 x = tuple(real(c, "x") for c in r["x"])
+                space.to_unit(x)                    # its length and bounds
                 if key == "dataset":
                     if not isinstance(r["tag"], str):
                         raise ValueError(f"'tag' must be a string, got {r['tag']!r}")
-                    dataset.append(Observation(x, real(r["k"], "k"), real(r["v"], "v"),
-                                               r["tag"]))
+                    rows.append(Observation(x, real(r["k"], "k"), real(r["v"], "v"),
+                                            r["tag"]))
                 elif not isinstance(r["id"], str) or r["id"] in pending:
                     raise ValueError(f"'id' must be a unique string, got {r['id']!r}")
                 else:
-                    space.to_unit(x)                # its length and bounds
                     pending[r["id"]] = x
             except KeyError as e:
                 raise ValueError(f"{key}[{i}] has no field {e}: {r!r}") from e
-            except (TypeError, ValueError, BoundsViolationError, DataError) as e:
+            except (TypeError, ValueError, BoundsViolationError) as e:
                 raise ValueError(f"{key}[{i}]: {e}") from e
+    dataset = Dataset(space=space)
+    dataset.append(*rows)                   # duplicates: DataError names dataset[i]
     return dataset, list(pending.items())
 
 
@@ -337,6 +336,6 @@ def load_state(path: str) -> CampaignState:
             iteration=doc["iteration"], pending=pending,
             fitted_hyper_k=_hyper_from_json(doc, "fitted_hyper_k"),
             fitted_hyper_v=_hyper_from_json(doc, "fitted_hyper_v"))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, DataError) as e:
         raise StateFileError(f"{path}: malformed state file: {e}") from e
     return state

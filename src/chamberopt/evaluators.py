@@ -29,13 +29,13 @@ class Observation:
 
 @dataclass
 class Dataset:
-    """Ordered observations, no two closer than ``MIN_GAP`` in unit space:
-    the one owner of that distinct-points rule."""
+    """Ordered observations, no two closer than ``MIN_GAP`` in unit space.
+    Every row enters through ``append``, the one owner of that rule."""
 
     MIN_GAP = 1e-10             # unannotated, so a class constant, not a field
 
     space: ParameterSpace
-    rows: list[Observation] = field(default_factory=list)
+    rows: list[Observation] = field(default_factory=list, init=False)
 
     def __len__(self):
         return len(self.rows)
@@ -55,17 +55,23 @@ class Dataset:
     def v_values(self) -> np.ndarray:
         return np.array([r.v for r in self.rows])
 
-    def append(self, obs: Observation):
-        u_new = self.space.to_unit(np.asarray(obs.x))
-        if self.rows:
-            d = np.linalg.norm(self.unit_inputs() - u_new, axis=1)
-            if np.min(d) < self.MIN_GAP:
-                raise DataError(
-                    f"duplicate design point {obs.x} (matches row {int(np.argmin(d))})"
-                )
-        if not (math.isfinite(obs.k) and math.isfinite(obs.v)):
-            raise DataError(f"non-finite observation at {obs.x}")
-        self.rows.append(obs)
+    def append(self, *observations: Observation):
+        """Add a batch of observations, all or nothing. Each needs a finite
+        k and v, coordinates within the bounds and a gap of at least
+        ``MIN_GAP`` to every earlier row; DataError names a refused row as
+        ``dataset[i]``, and ``rows`` is left as it was."""
+        if not observations:
+            return
+        rows = self.rows + list(observations)
+        u = self.space.to_unit(np.array([r.x for r in rows]))
+        for i, obs in enumerate(observations, start=len(self.rows)):
+            if not (math.isfinite(obs.k) and math.isfinite(obs.v)):
+                raise DataError(f"dataset[{i}]: non-finite observation at {obs.x}")
+            d = np.linalg.norm(u[:i] - u[i], axis=1)   # one row's gaps: O(n d) memory
+            if i and np.min(d) < self.MIN_GAP:
+                raise DataError(f"dataset[{i}]: duplicate design point {obs.x} "
+                                f"(matches dataset[{int(np.argmin(d))}])")
+        self.rows = rows
 
 
 def proxy_prechamber(x) -> tuple[float, float]:

@@ -265,25 +265,19 @@ def model_from_hyper(inputs, raw_targets, channel, hyper: GpHyperparameters) -> 
                    train_targets=y, chol_inv=L_inv, alpha=alpha)
 
 
-def _cross_solve(model: GpModel, Xq: np.ndarray):
-    """Query points as a 2-D array, the posterior mean there (standardized
-    units) and V = L^-1 k_x, with L the lower factor of the train covariance."""
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    Kx = matern52_cross(Xq, model.train_inputs,
-                        model.hyper.lengthscales, model.hyper.signal_variance)
-    return Xq, Kx @ model.alpha, model.chol_inv @ Kx.T
-
-
 def posterior(model: GpModel, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and std (standardized units) at query points.
 
     Variance is the latent-function variance k(x,x) - k_x^T Kn^-1 k_x,
     clamped at zero before the square root.
     """
-    _, mean, V = _cross_solve(model, X_query)
+    Kx = matern52_cross(np.atleast_2d(np.asarray(X_query, dtype=float)),
+                        model.train_inputs, model.hyper.lengthscales,
+                        model.hyper.signal_variance)
+    V = model.chol_inv @ Kx.T               # L^-1 k_x, L the train covariance factor
     var = model.hyper.signal_variance - np.sum(V * V, axis=0)
     std = np.sqrt(np.maximum(var, 0.0))
-    return mean, std
+    return Kx @ model.alpha, std
 
 
 def posterior_at(model: GpModel, x: np.ndarray) -> PosteriorGaussian:

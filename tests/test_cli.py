@@ -317,6 +317,28 @@ def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     if corrupt in (_boolean_k, _boolean_v, _int_tag, _boolean_coordinate,
                    _out_of_bounds, _duplicate_row, _nan_k, _nan_coordinate):
         assert "dataset[" in err
+    if corrupt is _duplicate_row:
+        last = len(json.loads(before)["dataset"]) - 1
+        assert f"dataset[{last}]: duplicate" in err and "(matches dataset[0])" in err
+    assert (d / "state.json").read_bytes() == before
+
+
+def test_ingest_refuses_a_batch_that_repeats_a_row(tmp_path, capsys):
+    d = _doe_ingested(tmp_path)
+    n = len(load_state(d / "state.json").dataset)
+    _edit_state(d, lambda doc: doc["acq"].update(batch_size=3))
+    assert main(["propose", "--dir", str(d)]) == EXIT_OK
+    _answer(d / "proposals_iter1.csv", d / "r1.csv")
+
+    def third_repeats_a_row(doc):
+        doc["pending"][2]["x"] = doc["dataset"][1]["x"]
+
+    before = _edit_state(d, third_repeats_a_row)
+    capsys.readouterr()
+    assert main(["ingest", str(d / "r1.csv"), "--dir", str(d)]) == EXIT_PROTOCOL
+    err = capsys.readouterr().err
+    assert f"dataset[{n + 2}]: duplicate" in err and "(matches dataset[1])" in err
+    assert "Traceback" not in err
     assert (d / "state.json").read_bytes() == before
 
 
@@ -684,6 +706,64 @@ def test_hostile_state_value_loads_valid_or_is_io_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == (EXIT_IO if state is None else EXIT_OK) and "Traceback" not in err
     assert state_path.read_bytes() == before
+
+
+@pytest.fixture(scope="module")
+def pending_state(tmp_path_factory):
+    """The state.json bytes of a campaign awaiting two results, and those results."""
+    d = _doe_ingested(tmp_path_factory.mktemp("pending"))
+    assert main(["propose", "--dir", str(d)]) == EXIT_OK
+    _answer(d / "proposals_iter1.csv", d / "r1.csv")
+    with open(d / "r1.csv", newline="") as f:
+        results = list(csv.reader(f))[1:]
+    return (d / "state.json").read_bytes(), results
+
+
+_RESULT_VALUES = ["1.5", "-3", "0", "1e308", "1e400", "nan", "inf", "-inf",
+                  "abc", "", " 2", "0x10"]
+
+
+@st.composite
+def _results_csvs(draw, results):
+    """Results-file text around the valid ``results`` rows: ids shuffled,
+    missing, repeated or unknown; values non-finite or not numbers; extra
+    columns; or no content at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    rows = draw(st.permutations(results))
+    rows = rows[:draw(st.integers(0, len(rows)))] + draw(st.lists(
+        st.sampled_from(results + [["iter1_2", "1", "2"], ["iter0_0", "1", "2"],
+                                   ["bogus", "1", "2"]]), max_size=2))
+    rows = [list(r) for r in draw(st.permutations(rows))]
+    for r in rows:
+        for j in (1, 2):
+            if draw(st.integers(0, 5)) == 0:
+                r[j] = draw(st.sampled_from(_RESULT_VALUES))
+        if draw(st.integers(0, 9)) == 0:
+            r.append("extra")
+    # the valid header half the time
+    header = draw(st.sampled_from(["id,k,v_mag", "id,k,v_mag", "id,k,v_mag,note",
+                                   "k,id,v_mag"]))
+    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_results_csv_ingests_whole_or_is_protocol_error(
+        tmp_path, capsys, pending_state, data):
+    state_bytes, results = pending_state
+    (tmp_path / "state.json").write_bytes(state_bytes)
+    (tmp_path / "r.csv").write_text(data.draw(_results_csvs(results)))
+    capsys.readouterr()
+    code = main(["ingest", str(tmp_path / "r.csv"), "--dir", str(tmp_path)])
+    assert code in (EXIT_OK, EXIT_PROTOCOL)
+    assert "Traceback" not in capsys.readouterr().err
+    if code == EXIT_PROTOCOL:
+        assert (tmp_path / "state.json").read_bytes() == state_bytes
+    else:
+        rows = len(json.loads(state_bytes)["dataset"]) + len(results)
+        assert len(load_state(tmp_path / "state.json").dataset) == rows
 
 
 def test_cli_commands_leave_scipy_unloaded(tmp_path):

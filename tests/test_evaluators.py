@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chamberopt.errors import (BoundsViolationError, DataError, ProtocolError)
-from chamberopt.evaluators import (Dataset, Observation, benchmark_quadratic,
-                                   proposal_ids, proxy_prechamber,
-                                   read_proposals, read_results,
-                                   write_proposals)
+from chamberopt.evaluators import (QUADRATIC_SPACE, Dataset, Observation,
+                                   benchmark_quadratic, proposal_ids,
+                                   proxy_prechamber, read_proposals,
+                                   read_results, write_proposals)
 from chamberopt.space import PRECHAMBER_SPACE
 
 # frozen 201^3 grid scan of the proxy with v <= 25 (see grid scan in
@@ -177,3 +181,52 @@ def test_dataset_rejects_non_finite():
     ds = Dataset(space=PRECHAMBER_SPACE)
     with pytest.raises(DataError):
         ds.append(Observation((9.0, 0.8, 16.0), float("nan"), 20.0))
+
+
+def test_dataset_rows_are_not_an_init_argument():
+    # a dataset built around its rows would skip append's rule
+    with pytest.raises(TypeError):
+        Dataset(space=PRECHAMBER_SPACE,
+                rows=[Observation((9.0, 0.8, 16.0), 100.0, 20.0)])
+
+
+# unit-square coordinates: grid values, values within and just beyond
+# MIN_GAP of 0.5, and values outside the bounds
+_COORD = st.sampled_from([0.0, 0.5, 1.0, 0.5 + 5e-11, 0.5 + 1e-9,
+                          -0.5, 1.5, float("nan")])
+_VALUE = st.sampled_from([1.0, -2.5, 0.0, float("nan"), float("inf")])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(existing=st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                   st.sampled_from([0.0, 0.5, 1.0])),
+                         unique=True, max_size=6),
+       data=st.data())
+def test_dataset_append_is_all_or_nothing(existing, data):
+    ds = Dataset(space=QUADRATIC_SPACE)
+    ds.append(*(Observation(x, 1.0, 1.0) for x in existing))
+    earlier = existing + [(0.5, 0.5)]
+    point = st.one_of(st.sampled_from(earlier), st.tuples(_COORD, _COORD))
+    batch = data.draw(st.lists(st.builds(Observation, point, _VALUE, _VALUE),
+                               min_size=1, max_size=5))
+    # a batch may also repeat one of its own rows
+    batch += data.draw(st.lists(st.sampled_from(batch), max_size=2))
+    before = list(ds.rows)
+
+    one_by_one, refused = copy.deepcopy(ds), None
+    for obs in batch:
+        try:
+            one_by_one.append(obs)
+        except (DataError, BoundsViolationError) as e:
+            refused = e
+            break
+
+    try:
+        ds.append(*batch)
+    except (DataError, BoundsViolationError) as e:
+        assert refused is not None and ds.rows == before
+        if isinstance(e, DataError):    # the same row, named as dataset[i]
+            assert isinstance(refused, DataError) and str(e) == str(refused)
+            assert str(e).startswith(f"dataset[{len(one_by_one)}]: ")
+    else:
+        assert refused is None and ds.rows == before + batch
