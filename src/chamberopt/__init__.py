@@ -5,9 +5,8 @@ improvement with Monte Carlo batch proposals, Latin hypercube initialization,
 and a resumable ask-tell campaign loop.
 """
 
-from .acquisition import (AcquisitionConfig, Incumbent, constrained_ei,
-                          expected_improvement, incumbent,
-                          probability_feasible, qcei_mc)
+from .acquisition import (AcquisitionConfig, constrained_ei,
+                          expected_improvement, probability_feasible, qcei_mc)
 from .campaign import (CampaignState, best_so_far, step, ingest, init_campaign,
                        load_state, run_campaign, save_state)
 from .evaluators import (Dataset, Observation, benchmark_quadratic,

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError
 from .gp import GpModel, PosteriorGaussian, joint_posterior_samples
 from .kernels import mc_batch_feasibility, mc_batch_improvement
 from .space import count, real
@@ -33,12 +32,6 @@ def _norm_pdf(z: float) -> float:
     # z * z, not z**2: the power of a scalar rounds differently from the
     # array square, and this form matches scipy.stats.norm.pdf bit for bit
     return np.exp(-z * z / 2.0) / np.sqrt(2 * np.pi)
-
-
-@dataclass(frozen=True)
-class Incumbent:
-    index: int
-    k_best: float
 
 
 # The closed forms import scipy.special where they are called: no campaign,
@@ -65,19 +58,6 @@ def probability_feasible(g: PosteriorGaussian, threshold: float) -> float:
 def constrained_ei(gk: PosteriorGaussian, gv: PosteriorGaussian,
                    best: float, threshold: float) -> float:
     return probability_feasible(gv, threshold) * expected_improvement(gk, best)
-
-
-def incumbent(dataset, threshold: float) -> Incumbent | None:
-    """Feasible observation with maximal objective, or None if none feasible."""
-    if len(dataset) == 0:
-        raise InvalidStateError("cannot pick an incumbent from an empty dataset")
-    best_i, best_k = -1, -np.inf
-    for i, obs in enumerate(dataset):
-        if obs.v <= threshold and obs.k > best_k:
-            best_i, best_k = i, obs.k
-    if best_i < 0:
-        return None
-    return Incumbent(index=best_i, k_best=best_k)
 
 
 def _raw_joint_samples(model: GpModel, XS, base):

@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .acquisition import AcquisitionConfig, incumbent
+from .acquisition import AcquisitionConfig
 from .errors import (BoundsViolationError, DataError, InvalidStateError,
                      StateFileError)
 from .evaluators import (EVALUATORS, Dataset, Observation, proposal_ids,
-                         read_results, write_proposals)
+                         proposals_path, read_results, write_proposals)
 from .gp import GpHyperparameters, GpModel, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, count, latin_hypercube, real
@@ -160,10 +160,10 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
     it = state.iteration
     mk, mv = fit_models(state)
     state.fitted_hyper_k, state.fitted_hyper_v = mk.hyper, mv.hyper
-    inc = incumbent(state.dataset, state.acq.constraint_threshold)
+    best, _ = best_so_far(state)
     batch_u = propose_batch(mk, mv, state.acq, state.budget,
                             derive_seed(state.rng_seed, it, _ROLE_PROPOSE),
-                            incumbent_value=None if inc is None else inc.k_best)
+                            incumbent_value=None if best is None else best.k)
     rng = np.random.default_rng(derive_seed(state.rng_seed, it, _ROLE_DEDUP))
     batch_u = _separate_batch(batch_u, state.dataset.unit_inputs(), rng)
     batch = _batch(it + 1, state.space.from_unit(batch_u))
@@ -171,8 +171,8 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
         return _evaluate(state, batch)
     if campaign_dir is None:
         raise ValueError("external mode needs a campaign directory")
-    path = os.path.join(campaign_dir, f"proposals_iter{it + 1}.csv")
-    write_proposals(path, state.space, [x for _, x in batch], it + 1)
+    write_proposals(proposals_path(campaign_dir, it + 1), state.space,
+                    [x for _, x in batch], it + 1)
     state.pending = batch
     return state
 
@@ -186,31 +186,34 @@ def ingest(state: CampaignState, results_path: str) -> CampaignState:
     return _append_batch(state, state.pending, rows)
 
 
-def best_so_far(state: CampaignState):
-    """Feasible-best observation plus a per-stage trace.
+def _best(rows):
+    """The row with the largest k, the first of them on a tie; None if none."""
+    return max(rows, key=lambda obs: obs.k, default=None)
 
-    Trace rows cover the DOE stage and each completed BO iteration, each with
-    the cumulative feasible best and the per-batch feasible best (the latter
-    can dip between iterations; the cumulative view is monotone).
+
+def best_so_far(state: CampaignState):
+    """The campaign's feasible best, which ``step`` improves on and
+    ``report.emit_slices`` slices through, and a per-stage trace.
+
+    The best is the feasible row (v at or below the threshold) with the
+    largest k; every row counts, whatever its tag, and the first in dataset
+    order wins a tie. It is None while no row is feasible. The trace covers
+    stage-tagged rows only: the DOE stage and each completed BO iteration,
+    each with the cumulative and the per-batch feasible best (the latter can
+    dip between iterations; the cumulative view is monotone).
     """
     if len(state.dataset) == 0:
         raise InvalidStateError("empty dataset")
     thr = state.acq.constraint_threshold
+    feasible = [obs for obs in state.dataset if obs.v <= thr]
     stages = [("doe", "doe")] + [(f"iter{n}", f"bo_iter_{n}")
                                  for n in range(1, state.iteration + 1)]
-    trace = []
-    cum_best = None
+    trace, cum_best = [], None
     for label, tag in stages:
-        batch_best = None
-        for obs in state.dataset:
-            if obs.tag != tag or obs.v > thr:
-                continue
-            if batch_best is None or obs.k > batch_best.k:
-                batch_best = obs
-            if cum_best is None or obs.k > cum_best.k:
-                cum_best = obs
+        batch_best = _best(obs for obs in feasible if obs.tag == tag)
+        cum_best = _best(obs for obs in (cum_best, batch_best) if obs is not None)
         trace.append({"stage": label, "cumulative": cum_best, "batch": batch_best})
-    return cum_best, trace
+    return _best(feasible), trace
 
 
 def run_campaign(state: CampaignState, n_iterations: int) -> CampaignState:
@@ -263,6 +266,12 @@ def _records_from_json(doc, space: ParameterSpace):
                 raise ValueError(f"{key}[{i}]: {e}") from e
     dataset = Dataset(space=space)
     dataset.append(*rows)                   # duplicates: DataError names dataset[i]
+    xs, n = list(pending.values()), len(rows)
+    for i, j in enumerate(dataset.repeats(xs)):
+        if j is not None:
+            match = f"dataset[{j}]" if j < n else f"pending[{j - n}]"
+            raise ValueError(f"pending[{i}]: duplicate design point {xs[i]} "
+                             f"(matches {match})")
     return dataset, list(pending.items())
 
 

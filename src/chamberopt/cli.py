@@ -12,7 +12,7 @@ from .acquisition import AcquisitionConfig
 from .errors import (BoundsViolationError, DataError, DegenerateDataError,
                      InvalidStateError, NumericError, ProtocolError,
                      StateFileError)
-from .evaluators import EVALUATORS, write_proposals
+from .evaluators import EVALUATORS, proposals_path, write_proposals
 from .optim import OptimizerBudget
 from .report import DEFAULT_SLICE_RESOLUTION, emit_slices, emit_table
 from .space import ParameterSpace
@@ -129,7 +129,7 @@ def _cmd_init(args):
                                seed=cfg.get("seed", 0), evaluator=evaluator)
     os.makedirs(args.dir, exist_ok=True)
     if state.pending:
-        path = os.path.join(args.dir, "proposals_iter0.csv")
+        path = proposals_path(args.dir, 0)
         write_proposals(path, space, [list(x) for _, x in state.pending], 0)
         print(f"wrote {path} ({len(state.pending)} DOE proposals)")
     camp.save_state(state, state_path)
@@ -142,8 +142,8 @@ def _cmd_propose(args):
     state = camp.step(state, campaign_dir=args.dir)
     camp.save_state(state, _state_path(args.dir))
     if state.pending:
-        path = os.path.join(args.dir, f"proposals_iter{state.iteration + 1}.csv")
-        print(f"wrote {path} ({len(state.pending)} proposals)")
+        print(f"wrote {proposals_path(args.dir, state.iteration + 1)} "
+              f"({len(state.pending)} proposals)")
     else:
         print(f"evaluated iteration {state.iteration} ({len(state.dataset)} rows)")
     return EXIT_OK

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,23 +56,30 @@ class Dataset:
     def v_values(self) -> np.ndarray:
         return np.array([r.v for r in self.rows])
 
+    def repeats(self, xs):
+        """For each of the points ``xs``, taken in order after the rows, yield
+        the index in rows + xs of the nearest earlier point if it lies closer
+        than ``MIN_GAP`` in unit space, else None. Coordinates outside the
+        bounds raise BoundsViolationError."""
+        points = [r.x for r in self.rows] + list(xs)
+        u = self.space.to_unit(np.array(points)) if points else ()
+        for i in range(len(self.rows), len(u)):
+            d = np.linalg.norm(u[:i] - u[i], axis=1)   # one point's gaps: O(n d) memory
+            yield int(np.argmin(d)) if i and np.min(d) < self.MIN_GAP else None
+
     def append(self, *observations: Observation):
         """Add a batch of observations, all or nothing. Each needs a finite
-        k and v, coordinates within the bounds and a gap of at least
-        ``MIN_GAP`` to every earlier row; DataError names a refused row as
-        ``dataset[i]``, and ``rows`` is left as it was."""
-        if not observations:
-            return
-        rows = self.rows + list(observations)
-        u = self.space.to_unit(np.array([r.x for r in rows]))
-        for i, obs in enumerate(observations, start=len(self.rows)):
+        k and v, coordinates within the bounds and no ``repeats`` match;
+        DataError names a refused row as ``dataset[i]``, and ``rows`` is left
+        as it was."""
+        matches = self.repeats(obs.x for obs in observations)
+        for i, (obs, j) in enumerate(zip(observations, matches), start=len(self.rows)):
             if not (math.isfinite(obs.k) and math.isfinite(obs.v)):
                 raise DataError(f"dataset[{i}]: non-finite observation at {obs.x}")
-            d = np.linalg.norm(u[:i] - u[i], axis=1)   # one row's gaps: O(n d) memory
-            if i and np.min(d) < self.MIN_GAP:
+            if j is not None:
                 raise DataError(f"dataset[{i}]: duplicate design point {obs.x} "
-                                f"(matches dataset[{int(np.argmin(d))}])")
-        self.rows = rows
+                                f"(matches dataset[{j}])")
+        self.rows = self.rows + list(observations)
 
 
 def proxy_prechamber(x) -> tuple[float, float]:
@@ -107,6 +115,11 @@ EVALUATORS = {
     "proxy": (proxy_prechamber, PRECHAMBER_SPACE, 25.0),
     "quadratic": (benchmark_quadratic, QUADRATIC_SPACE, 1.0),
 }
+
+
+def proposals_path(campaign_dir, iteration: int) -> str:
+    """The proposals CSV of one iteration's batch in a campaign directory."""
+    return os.path.join(campaign_dir, f"proposals_iter{iteration}.csv")
 
 
 def proposal_ids(iteration: int, count: int) -> list[str]:

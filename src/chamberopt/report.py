@@ -7,7 +7,6 @@ import os
 
 import numpy as np
 
-from .acquisition import incumbent
 from .campaign import CampaignState, best_so_far, fit_models
 from .errors import InvalidStateError
 from .gp import destandardize_arrays, posterior
@@ -57,14 +56,13 @@ def emit_slices(state: CampaignState, out_dir: str,
     """
     if resolution < 2:
         raise ValueError("slice resolution must be >= 2")
-    inc = incumbent(state.dataset, state.acq.constraint_threshold)
-    if inc is None:
+    best, _ = best_so_far(state)
+    if best is None:
         raise InvalidStateError(
             "no feasible incumbent; run more iterations or inspect "
             "table_batch.csv for infeasible-best diagnostics")
     mk, _ = fit_models(state)
-    x_star = np.asarray(state.dataset[inc.index].x, dtype=float)
-    u_star = state.space.to_unit(x_star)
+    u_star = state.space.to_unit(np.asarray(best.x, dtype=float))
 
     paths = []
     for i, dim in enumerate(state.space.dims):
@@ -85,8 +83,8 @@ def emit_slices(state: CampaignState, out_dir: str,
     with open(markers, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["kind"] + state.space.names + ["k"])
-        for j, obs in enumerate(state.dataset):
-            kind = "incumbent" if j == inc.index else "train"
+        for obs in state.dataset:
+            kind = "incumbent" if obs is best else "train"
             w.writerow([kind] + [f"{v:.17g}" for v in obs.x] + [f"{obs.k:.17g}"])
     paths.append(markers)
     return paths

@@ -15,8 +15,8 @@ import pytest
 
 import chamberopt
 from chamberopt.acquisition import (AcquisitionConfig, constrained_ei,
-                                    expected_improvement, incumbent,
-                                    probability_feasible, qcei_mc)
+                                    expected_improvement, probability_feasible,
+                                    qcei_mc)
 from chamberopt.campaign import (best_so_far, fit_models, init_campaign,
                                  load_state, run_campaign, save_state, step,
                                  ingest)
@@ -263,8 +263,8 @@ def test_criterion_8_workflow_shape(tmp_path):
 
     st = load_state(tmp_path / "state.json")
     mk, _ = fit_models(st)
-    inc = incumbent(st.dataset, THRESHOLD)
-    u_star = st.space.to_unit(np.asarray(st.dataset[inc.index].x))
+    inc, _ = best_so_far(st)
+    u_star = st.space.to_unit(np.asarray(inc.x))
     _, std_star = posterior(mk, u_star[None, :])
     prior_std = np.sqrt(mk.hyper.signal_variance)
     assert std_star[0] < 0.1 * prior_std

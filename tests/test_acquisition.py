@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from chamberopt.acquisition import (AcquisitionConfig, constrained_ei,
-                                    expected_improvement, incumbent,
-                                    probability_feasible, q_feasibility_mc,
-                                    qcei_mc)
+                                    expected_improvement, probability_feasible,
+                                    q_feasibility_mc, qcei_mc)
+from chamberopt.campaign import CampaignState, best_so_far
 from chamberopt.errors import InvalidStateError
 from chamberopt.evaluators import Dataset, Observation
 from chamberopt.gp import (GpHyperparameters, PosteriorGaussian, destandardize,
                            model_from_hyper, posterior_at)
+from chamberopt.optim import OptimizerBudget
 from chamberopt.space import PRECHAMBER_SPACE
 
 from oracles import normal_cdf
@@ -104,6 +105,7 @@ def test_ei_monotonic_in_mean_and_std():
 
 
 # ------------------------------------------------------------ incumbent
+# the feasible best that constrained EI improves on: campaign.best_so_far
 
 
 def _campaign_history_dataset():
@@ -119,27 +121,35 @@ def _campaign_history_dataset():
     return ds
 
 
+def _incumbent(ds, threshold):
+    st = CampaignState(space=PRECHAMBER_SPACE,
+                       acq=AcquisitionConfig(constraint_threshold=threshold),
+                       budget=OptimizerBudget(), dataset=ds, rng_seed=0)
+    return best_so_far(st)[0]
+
+
 def test_incumbent_picks_feasible_max():
-    inc = incumbent(_campaign_history_dataset(), 25.0)
-    assert inc.index == 3
-    assert inc.k_best == pytest.approx(263.16)
+    ds = _campaign_history_dataset()
+    inc = _incumbent(ds, 25.0)
+    assert inc is ds[3]
+    assert inc.k == pytest.approx(263.16)
 
 
 def test_incumbent_all_infeasible_is_none():
     ds = _campaign_history_dataset()
-    assert incumbent(ds, 10.0) is None
+    assert _incumbent(ds, 10.0) is None
 
 
 def test_incumbent_single_feasible():
     ds = _campaign_history_dataset()
-    inc = incumbent(ds, 18.0)           # only the DOE row is feasible
-    assert inc.index == 0
-    assert inc.k_best == pytest.approx(160.38)
+    inc = _incumbent(ds, 18.0)          # only the DOE row is feasible
+    assert inc is ds[0]
+    assert inc.k == pytest.approx(160.38)
 
 
 def test_incumbent_empty_dataset_raises():
     with pytest.raises(InvalidStateError):
-        incumbent(Dataset(space=PRECHAMBER_SPACE), 25.0)
+        _incumbent(Dataset(space=PRECHAMBER_SPACE), 25.0)
 
 
 # ------------------------------------------------------------ MC batch CEI

@@ -324,22 +324,24 @@ def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
 
 
 def test_ingest_refuses_a_batch_that_repeats_a_row(tmp_path, capsys):
+    # refused when the state loads, before the batch is evaluated, by every
+    # command that loads it
     d = _doe_ingested(tmp_path)
-    n = len(load_state(d / "state.json").dataset)
     _edit_state(d, lambda doc: doc["acq"].update(batch_size=3))
     assert main(["propose", "--dir", str(d)]) == EXIT_OK
     _answer(d / "proposals_iter1.csv", d / "r1.csv")
 
-    def third_repeats_a_row(doc):
-        doc["pending"][2]["x"] = doc["dataset"][1]["x"]
-
-    before = _edit_state(d, third_repeats_a_row)
-    capsys.readouterr()
-    assert main(["ingest", str(d / "r1.csv"), "--dir", str(d)]) == EXIT_PROTOCOL
-    err = capsys.readouterr().err
-    assert f"dataset[{n + 2}]: duplicate" in err and "(matches dataset[1])" in err
-    assert "Traceback" not in err
-    assert (d / "state.json").read_bytes() == before
+    for source, match in ((lambda doc: doc["dataset"][1], "dataset[1]"),
+                          (lambda doc: doc["pending"][0], "pending[0]")):
+        before = _edit_state(
+            d, lambda doc: doc["pending"][2].update(x=source(doc)["x"]))
+        for command in (["ingest", str(d / "r1.csv")], ["propose"], ["report"]):
+            capsys.readouterr()
+            assert main(command + ["--dir", str(d)]) == EXIT_IO
+            err = capsys.readouterr().err
+            assert "pending[2]: duplicate design point" in err
+            assert f"(matches {match})" in err and "Traceback" not in err
+            assert (d / "state.json").read_bytes() == before
 
 
 def test_out_of_memory_is_numeric_error(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from chamberopt.acquisition import AcquisitionConfig, incumbent
+from chamberopt.acquisition import AcquisitionConfig
 from chamberopt.campaign import (CampaignState, best_so_far, fit_models,
                                  init_campaign, run_campaign)
 from chamberopt.errors import InvalidStateError
@@ -66,8 +66,8 @@ def test_slice_grid_consistent_with_posterior(tmp_path):
     st = _campaign(iters=1)
     emit_slices(st, str(tmp_path), resolution=7)
     mk, _ = fit_models(st)
-    inc = incumbent(st.dataset, 25.0)
-    u_star = st.space.to_unit(np.asarray(st.dataset[inc.index].x))
+    inc, _ = best_so_far(st)
+    u_star = st.space.to_unit(np.asarray(inc.x))
     for i, dim in enumerate(st.space.dims):
         mrows = _read_csv(tmp_path / f"slice_{dim.name}_mean.csv")[1:]
         srows = _read_csv(tmp_path / f"slice_{dim.name}_std.csv")[1:]
@@ -96,6 +96,30 @@ def test_slice_markers_include_incumbent(tmp_path):
     assert kinds.count("train") == len(st.dataset) - 1
 
 
+def test_default_tagged_rows_have_a_feasible_best(tmp_path):
+    # rows appended by hand keep the default "manual" tag: outside every
+    # stage of the trace, yet each counts for the feasible best
+    ds = Dataset(space=PRECHAMBER_SPACE)
+    rng = np.random.default_rng(3)
+    u = rng.uniform(size=(8, 3))
+    ks = [150.0, 170.0, 210.0, 120.0, 260.0, 210.0, 90.0, 180.0]
+    vs = [20.0, 22.0, 24.0, 19.0, 28.0, 21.0, 23.0, 26.0]   # row 4 infeasible
+    for x, k, v in zip(PRECHAMBER_SPACE.from_unit(u), ks, vs):
+        ds.append(Observation(tuple(x), k, v))
+    st = CampaignState(space=PRECHAMBER_SPACE,
+                       acq=AcquisitionConfig(constraint_threshold=25.0),
+                       budget=SMALL_BUDGET, dataset=ds, rng_seed=0,
+                       evaluator="proxy")
+    best, trace = best_so_far(st)
+    assert best is ds[2]                  # rows 2 and 5 tie: the first wins
+    assert trace == [{"stage": "doe", "cumulative": None, "batch": None}]
+
+    emit_slices(st, str(tmp_path), resolution=3)
+    rows = _read_csv(tmp_path / "slice_markers.csv")[1:]
+    assert [r[0] for r in rows] == ["train"] * 2 + ["incumbent"] + ["train"] * 5
+    assert [float(c) for c in rows[2][1:4]] == list(ds[2].x)
+
+
 def test_slices_without_incumbent_errors(tmp_path):
     acq = AcquisitionConfig(constraint_threshold=5.0, mc_samples=128,
                             batch_size=2)
@@ -117,8 +141,8 @@ def test_slice_ends_revert_toward_prior():
                        budget=SMALL_BUDGET, dataset=ds, rng_seed=0,
                        evaluator="proxy")
     mk, _ = fit_models(st)
-    inc = incumbent(ds, 25.0)
-    u_star = PRECHAMBER_SPACE.to_unit(np.asarray(ds[inc.index].x))
+    inc, _ = best_so_far(st)
+    u_star = PRECHAMBER_SPACE.to_unit(np.asarray(inc.x))
     _, std_at_star = posterior(mk, u_star[None, :])
     for i in range(3):
         for end in (0.0, 1.0):
