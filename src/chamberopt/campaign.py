@@ -8,8 +8,10 @@ versioned JSON, written atomically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
@@ -171,8 +173,7 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
         return _evaluate(state, batch)
     if campaign_dir is None:
         raise ValueError("external mode needs a campaign directory")
-    write_proposals(proposals_path(campaign_dir, it + 1), state.space,
-                    [x for _, x in batch], it + 1)
+    write_proposals(proposals_path(campaign_dir, it + 1), state.space, batch)
     state.pending = batch
     return state
 
@@ -195,25 +196,24 @@ def best_so_far(state: CampaignState):
     """The campaign's feasible best, which ``step`` improves on and
     ``report.emit_slices`` slices through, and a per-stage trace.
 
-    The best is the feasible row (v at or below the threshold) with the
-    largest k; every row counts, whatever its tag, and the first in dataset
-    order wins a tie. It is None while no row is feasible. The trace covers
-    stage-tagged rows only: the DOE stage and each completed BO iteration,
-    each with the cumulative and the per-batch feasible best (the latter can
-    dip between iterations; the cumulative view is monotone).
+    A stage is a run of consecutive rows with one tag, in dataset order: the
+    DOE, each BO iteration and rows added by hand, labelled by the tag with
+    ``bo_iter_<n>`` written as ``iter<n>``. Each trace entry holds the
+    stage's feasible best (v at or below the threshold, the largest k; it
+    can dip between stages) and the cumulative feasible best, which folds
+    the stages in order, so the first row wins a tie. The best is the last
+    cumulative: None while no row is feasible.
     """
     if len(state.dataset) == 0:
         raise InvalidStateError("empty dataset")
     thr = state.acq.constraint_threshold
-    feasible = [obs for obs in state.dataset if obs.v <= thr]
-    stages = [("doe", "doe")] + [(f"iter{n}", f"bo_iter_{n}")
-                                 for n in range(1, state.iteration + 1)]
     trace, cum_best = [], None
-    for label, tag in stages:
-        batch_best = _best(obs for obs in feasible if obs.tag == tag)
+    for tag, rows in itertools.groupby(state.dataset, key=lambda obs: obs.tag):
+        batch_best = _best(obs for obs in rows if obs.v <= thr)
         cum_best = _best(obs for obs in (cum_best, batch_best) if obs is not None)
-        trace.append({"stage": label, "cumulative": cum_best, "batch": batch_best})
-    return _best(feasible), trace
+        trace.append({"stage": re.sub("^bo_iter_", "iter", tag),
+                      "cumulative": cum_best, "batch": batch_best})
+    return cum_best, trace
 
 
 def run_campaign(state: CampaignState, n_iterations: int) -> CampaignState:

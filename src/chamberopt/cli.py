@@ -130,7 +130,7 @@ def _cmd_init(args):
     os.makedirs(args.dir, exist_ok=True)
     if state.pending:
         path = proposals_path(args.dir, 0)
-        write_proposals(path, space, [list(x) for _, x in state.pending], 0)
+        write_proposals(path, space, state.pending)
         print(f"wrote {path} ({len(state.pending)} DOE proposals)")
     camp.save_state(state, state_path)
     print(f"campaign initialized in {args.dir}")

@@ -126,23 +126,20 @@ def proposal_ids(iteration: int, count: int) -> list[str]:
     return [f"iter{iteration}_{j}" for j in range(count)]
 
 
-def write_proposals(path, space: ParameterSpace, batch: np.ndarray,
-                    iteration: int) -> list[str]:
-    """Write a proposals CSV (header id,<dim names>); returns the row ids."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    if batch.shape[0] == 0:
+def write_proposals(path, space: ParameterSpace, batch) -> None:
+    """Write the (id, x) proposals ``batch``, a campaign's pending batch, as
+    they are to a proposals CSV (header id,<dim names>)."""
+    if not batch:
         raise ValueError("empty proposal batch")
-    space.to_unit(batch)        # bounds check
-    ids = proposal_ids(iteration, batch.shape[0])
+    space.to_unit([x for _, x in batch])        # bounds check
     try:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["id"] + space.names)
-            for pid, row in zip(ids, batch):
-                w.writerow([pid] + [f"{v:.17g}" for v in row])
+            for pid, x in batch:
+                w.writerow([pid] + [f"{v:.17g}" for v in x])
     except OSError as e:
         raise OSError(f"cannot write proposals file {path}: {e}") from e
-    return ids
 
 
 def read_proposals(path, space: ParameterSpace) -> list[tuple[str, np.ndarray]]:

@@ -10,38 +10,36 @@ import numpy as np
 from .campaign import CampaignState, best_so_far, fit_models
 from .errors import InvalidStateError
 from .gp import destandardize_arrays, posterior
+from .space import count
 
 DEFAULT_SLICE_RESOLUTION = 101
 
 
-def _trace_rows(state: CampaignState, view: str):
-    _, trace = best_so_far(state)
-    rows = []
-    for entry in trace:
-        obs = entry[view]
-        if obs is None:
-            rows.append([entry["stage"]] + [""] * (2 + state.space.ndim))
-        else:
-            rows.append([entry["stage"], obs.k, obs.v] + list(obs.x))
-    return rows
+def _cells(obs, spec: str, blank: str, n: int) -> list[str]:
+    """A trace entry's k, v and coordinates in ``spec``, or ``n`` blanks."""
+    if obs is None:
+        return [blank] * n
+    return [format(v, spec) for v in (obs.k, obs.v, *obs.x)]
 
 
 def emit_table(state: CampaignState, out_dir: str) -> str:
     """Write table.csv (cumulative feasible best, full precision) and
     table_batch.csv (per-batch view); returns an aligned text rendering."""
     header = ["stage", "k", "v_mag"] + state.space.names
+    _, trace = best_so_far(state)
     for name, view in (("table.csv", "cumulative"), ("table_batch.csv", "batch")):
         with open(os.path.join(out_dir, name), "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
-            for row in _trace_rows(state, view):
-                w.writerow([row[0]] + [v if v == "" else f"{v:.17g}"
-                                       for v in row[1:]])
+            for entry in trace:
+                w.writerow([entry["stage"]] + _cells(entry[view], ".17g", "",
+                                                     len(header) - 1))
 
     widths = [max(8, len(h) + 2) for h in header]
     lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in _trace_rows(state, "cumulative"):
-        cells = [row[0]] + [("-" if v == "" else f"{v:.2f}") for v in row[1:]]
+    for entry in trace:
+        cells = [entry["stage"]] + _cells(entry["cumulative"], ".2f", "-",
+                                          len(header) - 1)
         lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
     return "\n".join(lines)
 
@@ -54,8 +52,7 @@ def emit_slices(state: CampaignState, out_dir: str,
     raw output units against the physical coordinate) plus one markers file
     with the training-point projections and the incumbent.
     """
-    if resolution < 2:
-        raise ValueError("slice resolution must be >= 2")
+    count(resolution, "resolution", 2)
     best, _ = best_so_far(state)
     if best is None:
         raise InvalidStateError(
@@ -66,8 +63,8 @@ def emit_slices(state: CampaignState, out_dir: str,
 
     paths = []
     for i, dim in enumerate(state.space.dims):
+        U = np.tile(u_star, (resolution, 1))       # numpy refuses a huge grid
         coords = np.linspace(dim.lower, dim.upper, resolution)
-        U = np.tile(u_star, (resolution, 1))
         U[:, i] = (coords - dim.lower) / (dim.upper - dim.lower)
         mean, std = destandardize_arrays(mk, *posterior(mk, U))
         for col, values in (("mean", mean), ("std", std)):

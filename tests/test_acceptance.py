@@ -283,7 +283,7 @@ def test_criterion_9_protocol_robustness(tmp_path):
     st = init_campaign(PRECHAMBER_SPACE, acq, budget, doe_n=4, seed=1,
                        evaluator="external")
     ppath = tmp_path / "proposals_iter0.csv"
-    write_proposals(ppath, st.space, [list(x) for _, x in st.pending], 0)
+    write_proposals(ppath, st.space, st.pending)
     back = read_proposals(ppath, st.space)
     np.testing.assert_allclose(np.array([x for _, x in back]),
                                np.array([list(x) for _, x in st.pending]),

@@ -155,7 +155,7 @@ def test_external_doe_round_trip(tmp_path):
     assert len(st.dataset) == 0
     from chamberopt.evaluators import write_proposals
     ppath = tmp_path / "proposals_iter0.csv"
-    write_proposals(ppath, st.space, [list(x) for _, x in st.pending], 0)
+    write_proposals(ppath, st.space, st.pending)
     rpath = tmp_path / "results0.csv"
     _answer(ppath, rpath)
     st = ingest(st, rpath)
@@ -168,8 +168,7 @@ def test_external_doe_round_trip(tmp_path):
 def test_external_step_then_ingest(tmp_path):
     st = _external(tmp_path)
     from chamberopt.evaluators import write_proposals
-    write_proposals(tmp_path / "proposals_iter0.csv", st.space,
-                    [list(x) for _, x in st.pending], 0)
+    write_proposals(tmp_path / "proposals_iter0.csv", st.space, st.pending)
     _answer(tmp_path / "proposals_iter0.csv", tmp_path / "r0.csv")
     st = ingest(st, tmp_path / "r0.csv")
 
@@ -200,7 +199,7 @@ def test_ingest_atomic_on_bad_row(tmp_path):
     st = _external(tmp_path)
     from chamberopt.evaluators import write_proposals
     ppath = tmp_path / "proposals_iter0.csv"
-    write_proposals(ppath, st.space, [list(x) for _, x in st.pending], 0)
+    write_proposals(ppath, st.space, st.pending)
     _answer(ppath, tmp_path / "bad.csv", corrupt="iter0_1")
     n_before, pending_before = len(st.dataset), list(st.pending)
     with pytest.raises(Exception):
@@ -213,7 +212,7 @@ def test_ingest_rejects_mismatched_ids(tmp_path):
     st = _external(tmp_path)
     from chamberopt.evaluators import write_proposals
     ppath = tmp_path / "proposals_iter0.csv"
-    write_proposals(ppath, st.space, [list(x) for _, x in st.pending], 0)
+    write_proposals(ppath, st.space, st.pending)
     _answer(ppath, tmp_path / "short.csv", drop="iter0_0")
     with pytest.raises(Exception, match="iter0_0"):
         ingest(st, tmp_path / "short.csv")

@@ -60,6 +60,21 @@ def test_slices_written(tmp_path, capsys):
     assert (tmp_path / "slice_markers.csv").exists()
 
 
+@pytest.mark.parametrize("resolution", [1, 2**63 - 2, 2**63 - 1, 2**63])
+def test_slices_resolution_out_of_range_is_usage_error(tmp_path, capsys,
+                                                       resolution):
+    # beyond sys.maxsize refused before the fits; just below it numpy
+    # refuses the slice grid
+    d = _doe_ingested(tmp_path)
+    before = sorted(d.iterdir())
+    capsys.readouterr()
+    args = ["slices", "--dir", str(d), "--resolution", str(resolution)]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert sorted(d.iterdir()) == before
+
+
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     for flags in (["--bogus"], ["--acquisition", "ucb"]):
         assert main(["run", "--dir", str(tmp_path)] + flags) == EXIT_USAGE

@@ -81,10 +81,9 @@ def test_quadratic_benchmark_values():
 
 
 def test_write_proposals_format(tmp_path):
-    batch = np.array([[9.0, 0.8, 16.0], [11.0, 1.0, 19.0]])
+    batch = list(zip(proposal_ids(1, 2), [(9.0, 0.8, 16.0), (11.0, 1.0, 19.0)]))
     path = tmp_path / "proposals_iter1.csv"
-    ids = write_proposals(path, PRECHAMBER_SPACE, batch, 1)
-    assert ids == ["iter1_0", "iter1_1"]
+    write_proposals(path, PRECHAMBER_SPACE, batch)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "id,d_bottle,d_bore,h_neck"
     assert len(lines) == 3
@@ -92,22 +91,41 @@ def test_write_proposals_format(tmp_path):
 
 
 def test_write_proposals_q5_ids(tmp_path):
-    batch = np.tile(np.array([9.0, 0.8, 16.0]), (5, 1)) \
+    xs = np.tile(np.array([9.0, 0.8, 16.0]), (5, 1)) \
         + np.arange(5)[:, None] * 0.01
-    ids = write_proposals(tmp_path / "p.csv", PRECHAMBER_SPACE, batch, 1)
+    path = tmp_path / "p.csv"
+    write_proposals(path, PRECHAMBER_SPACE, list(zip(proposal_ids(1, 5), xs)))
+    ids = [pid for pid, _ in read_proposals(path, PRECHAMBER_SPACE)]
     assert ids == proposal_ids(1, 5) == [f"iter1_{j}" for j in range(5)]
+
+
+def test_write_proposals_writes_the_given_ids(tmp_path):
+    x0, x1 = (9.0, 0.8, 16.0), (11.0, 1.0, 19.0)
+    path = tmp_path / "p.csv"
+    write_proposals(path, PRECHAMBER_SPACE, [("a", x0), ("b", x1)])
+    back = read_proposals(path, PRECHAMBER_SPACE)
+    assert [(pid, tuple(x)) for pid, x in back] == [("a", x0), ("b", x1)]
+
+
+def test_write_proposals_refuses_an_empty_or_out_of_bounds_batch(tmp_path):
+    path = tmp_path / "p.csv"
+    with pytest.raises(ValueError, match="empty proposal batch"):
+        write_proposals(path, PRECHAMBER_SPACE, [])
+    with pytest.raises(BoundsViolationError):
+        write_proposals(path, PRECHAMBER_SPACE, [("a", (13.0, 0.8, 16.0))])
+    assert not path.exists()
 
 
 def test_proposals_round_trip_lossless(tmp_path):
     rng = np.random.default_rng(0)
     lo, hi = PRECHAMBER_SPACE.lowers, PRECHAMBER_SPACE.uppers
-    batch = rng.uniform(lo, hi, size=(5, 3))
+    xs = rng.uniform(lo, hi, size=(5, 3))
     path = tmp_path / "p.csv"
-    ids = write_proposals(path, PRECHAMBER_SPACE, batch, 2)
+    write_proposals(path, PRECHAMBER_SPACE, list(zip(proposal_ids(2, 5), xs)))
     back = read_proposals(path, PRECHAMBER_SPACE)
-    assert [pid for pid, _ in back] == ids
-    np.testing.assert_allclose(np.array([x for _, x in back]), batch,
-                               rtol=0, atol=1e-12)
+    assert [pid for pid, _ in back] == proposal_ids(2, 5)
+    # .17g round-trips float64 exactly
+    np.testing.assert_array_equal(np.array([x for _, x in back]), xs)
 
 
 def _write_results(path, rows):

@@ -97,8 +97,8 @@ def test_slice_markers_include_incumbent(tmp_path):
 
 
 def test_default_tagged_rows_have_a_feasible_best(tmp_path):
-    # rows appended by hand keep the default "manual" tag: outside every
-    # stage of the trace, yet each counts for the feasible best
+    # rows appended by hand keep the default "manual" tag: one stage of the
+    # trace, and each counts for the feasible best
     ds = Dataset(space=PRECHAMBER_SPACE)
     rng = np.random.default_rng(3)
     u = rng.uniform(size=(8, 3))
@@ -112,12 +112,38 @@ def test_default_tagged_rows_have_a_feasible_best(tmp_path):
                        evaluator="proxy")
     best, trace = best_so_far(st)
     assert best is ds[2]                  # rows 2 and 5 tie: the first wins
-    assert trace == [{"stage": "doe", "cumulative": None, "batch": None}]
+    assert trace == [{"stage": "manual", "cumulative": ds[2], "batch": ds[2]}]
 
     emit_slices(st, str(tmp_path), resolution=3)
     rows = _read_csv(tmp_path / "slice_markers.csv")[1:]
     assert [r[0] for r in rows] == ["train"] * 2 + ["incumbent"] + ["train"] * 5
     assert [float(c) for c in rows[2][1:4]] == list(ds[2].x)
+
+
+def test_interleaved_tag_runs_are_stages_in_dataset_order(tmp_path):
+    # hand-added rows between and after the program's stages: each run of
+    # one tag is a stage, and the last cumulative is the campaign's best
+    tags = ["doe"] * 3 + ["manual"] + ["bo_iter_1"] * 2 + ["manual"] * 2
+    ks = [150.0, 170.0, 140.0, 120.0, 200.0, 260.0, 230.0, 90.0]
+    vs = [20.0, 22.0, 24.0, 19.0, 21.0, 28.0, 23.0, 26.0]   # rows 5, 7 infeasible
+    ds = Dataset(space=PRECHAMBER_SPACE)
+    u = np.random.default_rng(5).uniform(size=(8, 3))
+    for x, k, v, tag in zip(PRECHAMBER_SPACE.from_unit(u), ks, vs, tags):
+        ds.append(Observation(tuple(x), k, v, tag))
+    st = CampaignState(space=PRECHAMBER_SPACE,
+                       acq=AcquisitionConfig(constraint_threshold=25.0),
+                       budget=SMALL_BUDGET, dataset=ds, rng_seed=0,
+                       evaluator="external", iteration=1)
+    best, trace = best_so_far(st)
+    assert best is ds[6]
+    assert [t["stage"] for t in trace] == ["doe", "manual", "iter1", "manual"]
+    assert [t["batch"] for t in trace] == [ds[1], ds[3], ds[4], ds[6]]
+    assert [t["cumulative"] for t in trace] == [ds[1], ds[1], ds[4], ds[6]]
+
+    emit_table(st, str(tmp_path))
+    last = _read_csv(tmp_path / "table.csv")[-1]
+    assert last[0] == "manual"
+    assert [float(c) for c in last[1:]] == [best.k, best.v, *best.x]
 
 
 def test_slices_without_incumbent_errors(tmp_path):
