@@ -118,37 +118,36 @@ def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
     return state
 
 
-def fit_models(state: CampaignState) -> tuple[GpModel, GpModel]:
+def fit_models(state: CampaignState,
+               constraint: bool = True) -> tuple[GpModel, GpModel | None]:
+    """The objective GP and the constraint GP, or None without ``constraint``."""
     X = state.dataset.unit_inputs()
     it = state.iteration
     mk = fit(X, state.dataset.k_values(), "objective",
              derive_seed(state.rng_seed, it, _ROLE_FIT_K))
     mv = fit(X, state.dataset.v_values(), "constraint",
-             derive_seed(state.rng_seed, it, _ROLE_FIT_V))
+             derive_seed(state.rng_seed, it, _ROLE_FIT_V)) if constraint else None
     return mk, mv
 
 
-def _separate_batch(batch_u: np.ndarray, existing_u: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Nudge batch points that coincide with existing data or each other.
-
-    The dataset rejects points closer than ``Dataset.MIN_GAP``; a degenerate
-    acquisition surface can collapse batch points onto one optimum.
+def _separate_batch(state: CampaignState, batch_u: np.ndarray,
+                    rng: np.random.Generator) -> None:
+    """Nudge, in place, the batch points that ``Dataset.repeats`` flags by up
+    to 1e-6 per unit coordinate until none repeats a row or an earlier point
+    (at most 100 rounds): a degenerate acquisition surface can collapse points.
     """
-    min_dist = 10 * Dataset.MIN_GAP         # clear of that rule
-    out = batch_u.copy()
-    for j in range(out.shape[0]):
-        others = np.vstack([existing_u, out[:j]]) if j else existing_u
-        for _ in range(100):
-            if others.size == 0 or np.min(
-                    np.linalg.norm(others - out[j], axis=1)) >= min_dist:
-                break
-            out[j] = np.clip(out[j] + rng.uniform(-1e-6, 1e-6, out.shape[1]), 0.0, 1.0)
-    return out
+    for _ in range(100):
+        matches = state.dataset.repeats(state.space.from_unit(batch_u))
+        flagged = [i for i, j in enumerate(matches) if j is not None]
+        if not flagged:
+            break
+        batch_u[flagged] = np.clip(batch_u[flagged] + rng.uniform(
+            -1e-6, 1e-6, (len(flagged), batch_u.shape[1])), 0.0, 1.0)
 
 
 def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState:
-    """One BO iteration: fit, propose q candidates, evaluate or park them.
+    """One BO iteration: fit, propose q candidates, move any that
+    ``Dataset.repeats`` flags, and evaluate or park them.
 
     Embedded mode evaluates the batch and appends it as ``ingest`` would;
     external mode writes proposals_iter<N>.csv into campaign_dir and marks
@@ -167,7 +166,7 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
                             derive_seed(state.rng_seed, it, _ROLE_PROPOSE),
                             incumbent_value=None if best is None else best.k)
     rng = np.random.default_rng(derive_seed(state.rng_seed, it, _ROLE_DEDUP))
-    batch_u = _separate_batch(batch_u, state.dataset.unit_inputs(), rng)
+    _separate_batch(state, batch_u, rng)
     batch = _batch(it + 1, state.space.from_unit(batch_u))
     if state.evaluator != "external":
         return _evaluate(state, batch)

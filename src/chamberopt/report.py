@@ -58,7 +58,7 @@ def emit_slices(state: CampaignState, out_dir: str,
         raise InvalidStateError(
             "no feasible incumbent; run more iterations or inspect "
             "table_batch.csv for infeasible-best diagnostics")
-    mk, _ = fit_models(state)
+    mk, _ = fit_models(state, constraint=False)
     u_star = state.space.to_unit(np.asarray(best.x, dtype=float))
 
     paths = []

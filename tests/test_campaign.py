@@ -183,6 +183,43 @@ def test_external_step_then_ingest(tmp_path):
     assert sum(r.tag == "bo_iter_1" for r in st.dataset) == 2
 
 
+def _collided_step(monkeypatch, tmp_path, evaluator):
+    """One step whose maximizer returns dataset row 0 and two copies of
+    (0.3, 0.3, 0.3); the stepped batch in unit space, and that target."""
+    tmp_path.mkdir()
+    st = init_campaign(PRECHAMBER_SPACE, _acq(q=3), SMALL_BUDGET, doe_n=6,
+                       seed=1, evaluator=evaluator)
+    if evaluator == "external":
+        from chamberopt.evaluators import write_proposals
+        write_proposals(tmp_path / "proposals_iter0.csv", st.space, st.pending)
+        _answer(tmp_path / "proposals_iter0.csv", tmp_path / "r0.csv")
+        st = ingest(st, tmp_path / "r0.csv")
+    target = np.vstack([st.dataset.unit_inputs()[0], [0.3] * 3, [0.3] * 3])
+    monkeypatch.setattr("chamberopt.campaign.propose_batch",
+                        lambda *args, **kwargs: target.copy())
+    st = step(st, campaign_dir=str(tmp_path))
+    if evaluator == "external":
+        save_state(st, tmp_path / "state.json")
+        xs = [x for _, x in load_state(tmp_path / "state.json").pending]
+    else:
+        assert len(st.dataset) == 6 + 3
+        xs = [obs.x for obs in st.dataset.rows[-3:]]
+    return st.space.to_unit(np.array(xs)), target
+
+
+@pytest.mark.parametrize("evaluator", ["proxy", "external"])
+def test_step_separates_a_batch_that_repeats_points(monkeypatch, tmp_path,
+                                                    evaluator):
+    batch, target = _collided_step(monkeypatch, tmp_path / "a", evaluator)
+    again, _ = _collided_step(monkeypatch, tmp_path / "b", evaluator)
+    np.testing.assert_array_equal(batch, again)
+    # point 1 repeats nothing; point 0 repeats row 0 and point 2 repeats point 1
+    assert batch[1].tolist() == PRECHAMBER_SPACE.to_unit(
+        PRECHAMBER_SPACE.from_unit(target[1])).tolist()
+    assert not np.array_equal(batch[[0, 2]], target[[0, 2]])
+    assert np.max(np.abs(batch - target)) < 1e-4
+
+
 def test_step_blocked_while_pending(tmp_path):
     st = _external(tmp_path)
     with pytest.raises(InvalidStateError):

@@ -62,6 +62,20 @@ def test_table_batch_view_written(tmp_path):
     assert [r[0] for r in rows[1:]] == ["doe", "iter1", "iter2"]
 
 
+def test_slices_fit_the_objective_only(tmp_path, monkeypatch):
+    import chamberopt.campaign as campaign
+    st = _campaign(iters=1)
+    channels, fit = [], campaign.fit
+
+    def counted(inputs, raw_targets, channel, *args, **kwargs):
+        channels.append(channel)
+        return fit(inputs, raw_targets, channel, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "fit", counted)
+    emit_slices(st, str(tmp_path), resolution=3)
+    assert channels == ["objective"]
+
+
 def test_slice_grid_consistent_with_posterior(tmp_path):
     st = _campaign(iters=1)
     emit_slices(st, str(tmp_path), resolution=7)
