@@ -1,8 +1,8 @@
 """Acquisition functions: EI, probability of feasibility, their product
 (constrained EI) and Monte Carlo batch constrained EI.
 
-All closed forms operate on raw-unit posteriors so the constraint threshold
-needs no transformation; the objective and constraint GPs are independent.
+Every form works in the raw output units ``gp`` models answer in, so the
+constraint threshold needs no transformation; the channel GPs are independent.
 """
 
 from __future__ import annotations
@@ -60,13 +60,6 @@ def constrained_ei(gk: PosteriorGaussian, gv: PosteriorGaussian,
     return probability_feasible(gv, threshold) * expected_improvement(gk, best)
 
 
-def _raw_joint_samples(model: GpModel, XS, base):
-    s = joint_posterior_samples(model, XS, base)
-    s *= model.standardize.scale
-    s += model.standardize.center
-    return s
-
-
 def qcei_mc(model_k: GpModel, model_v: GpModel, XS: np.ndarray, best: float,
             threshold: float, base_k: np.ndarray,
             base_v: np.ndarray) -> float | np.ndarray:
@@ -81,8 +74,8 @@ def qcei_mc(model_k: GpModel, model_v: GpModel, XS: np.ndarray, best: float,
     """
     # the constraint draws shrink to their feasibility mask before the
     # objective draws are made, so one channel's draws are held at a time
-    feasible = _raw_joint_samples(model_v, XS, base_v) <= threshold
-    ks = _raw_joint_samples(model_k, XS, base_k)
+    feasible = joint_posterior_samples(model_v, XS, base_v) <= threshold
+    ks = joint_posterior_samples(model_k, XS, base_k)
     return mc_batch_improvement(ks, feasible, best)
 
 
@@ -92,4 +85,4 @@ def q_feasibility_mc(model_v: GpModel, XS: np.ndarray, threshold: float,
     no feasible incumbent exists yet. ``base_v`` is an (n_samples, q) matrix
     of standard-normal base draws for the constraint. Takes a (q, d) batch
     or an (R, q, d) stack, as ``qcei_mc`` does."""
-    return mc_batch_feasibility(_raw_joint_samples(model_v, XS, base_v) <= threshold)
+    return mc_batch_feasibility(joint_posterior_samples(model_v, XS, base_v) <= threshold)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
@@ -21,7 +20,8 @@ from .acquisition import AcquisitionConfig
 from .errors import (BoundsViolationError, DataError, InvalidStateError,
                      StateFileError)
 from .evaluators import (EVALUATORS, Dataset, Observation, proposal_ids,
-                         proposals_path, read_results, write_proposals)
+                         proposals_path, read_results, stage_label,
+                         write_proposals)
 from .gp import GpHyperparameters, GpModel, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, count, latin_hypercube, real
@@ -196,8 +196,8 @@ def best_so_far(state: CampaignState):
     ``report.emit_slices`` slices through, and a per-stage trace.
 
     A stage is a run of consecutive rows with one tag, in dataset order: the
-    DOE, each BO iteration and rows added by hand, labelled by the tag with
-    ``bo_iter_<n>`` written as ``iter<n>``. Each trace entry holds the
+    DOE, each BO iteration and rows added by hand, labelled by
+    ``evaluators.stage_label``. Each trace entry holds the
     stage's feasible best (v at or below the threshold, the largest k; it
     can dip between stages) and the cumulative feasible best, which folds
     the stages in order, so the first row wins a tie. The best is the last
@@ -210,7 +210,7 @@ def best_so_far(state: CampaignState):
     for tag, rows in itertools.groupby(state.dataset, key=lambda obs: obs.tag):
         batch_best = _best(obs for obs in rows if obs.v <= thr)
         cum_best = _best(obs for obs in (cum_best, batch_best) if obs is not None)
-        trace.append({"stage": re.sub("^bo_iter_", "iter", tag),
+        trace.append({"stage": stage_label(tag),
                       "cumulative": cum_best, "batch": batch_best})
     return cum_best, trace
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ class Observation:
     x: tuple[float, ...]        # physical units
     k: float                    # objective (maximize)
     v: float                    # constraint magnitude
-    tag: str = "manual"         # doe | bo_iter_<n> | manual
+    tag: str = "manual"         # doe | bo_iter_<n> | manual, or a hand tag
 
 
 @dataclass
@@ -69,17 +70,28 @@ class Dataset:
 
     def append(self, *observations: Observation):
         """Add a batch of observations, all or nothing. Each needs a finite
-        k and v, coordinates within the bounds and no ``repeats`` match;
-        DataError names a refused row as ``dataset[i]``, and ``rows`` is left
-        as it was."""
+        k and v, coordinates within the bounds, no ``repeats`` match and a
+        tag that does not start with ``iter``, the prefix ``stage_label``
+        gives program iterations; DataError names a refused row as
+        ``dataset[i]``, and ``rows`` is left as it was."""
         matches = self.repeats(obs.x for obs in observations)
         for i, (obs, j) in enumerate(zip(observations, matches), start=len(self.rows)):
             if not (math.isfinite(obs.k) and math.isfinite(obs.v)):
                 raise DataError(f"dataset[{i}]: non-finite observation at {obs.x}")
+            if obs.tag.startswith("iter"):
+                raise DataError(f"dataset[{i}]: tag {obs.tag!r} would print as "
+                                f"a program iteration's stage")
             if j is not None:
                 raise DataError(f"dataset[{i}]: duplicate design point {obs.x} "
                                 f"(matches dataset[{j}])")
         self.rows = self.rows + list(observations)
+
+
+def stage_label(tag: str) -> str:
+    """A tag's stage label in the tables: ``bo_iter_<n>``, a program
+    iteration, prints as ``iter<n>`` and any other tag as it is, so no two
+    tags that ``Dataset.append`` accepts share a label."""
+    return re.sub("^bo_iter_", "iter", tag)
 
 
 def proxy_prechamber(x) -> tuple[float, float]:

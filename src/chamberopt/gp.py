@@ -3,7 +3,8 @@
 One GP per output channel (objective k, constraint |v|), Matern-5/2 ARD
 kernel, fixed observation noise in standardized output space, hyperparameters
 fitted by a multi-start, box-constrained quasi-Newton search on the log
-marginal likelihood.
+marginal likelihood. A model answers in the raw output units it was fitted
+on: standardization is this module's business alone.
 
 numpy is the only numeric dependency here: each ``scipy`` subpackage import
 costs a command-line process (every ask-tell step is one) a few tenths of a
@@ -75,7 +76,6 @@ class GpModel:
     hyper: GpHyperparameters
     standardize: StandardizationSpec
     train_inputs: np.ndarray        # (n, d) unit-cube points
-    train_targets: np.ndarray       # (n,) standardized
     chol_inv: np.ndarray            # inverse lower factor of K + noise^2 I (+ jitter)
     alpha: np.ndarray               # (K + noise^2 I)^-1 y
 
@@ -262,11 +262,11 @@ def model_from_hyper(inputs, raw_targets, channel, hyper: GpHyperparameters) -> 
     K = matern52_cross(X, X, hyper.lengthscales, hyper.signal_variance)
     L_inv, alpha, _ = _factor(K, y, hyper.noise_std)
     return GpModel(hyper=hyper, standardize=spec, train_inputs=X,
-                   train_targets=y, chol_inv=L_inv, alpha=alpha)
+                   chol_inv=L_inv, alpha=alpha)
 
 
 def posterior(model: GpModel, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and std (standardized units) at query points.
+    """Posterior mean and std at query points, in raw output units.
 
     Variance is the latent-function variance k(x,x) - k_x^T Kn^-1 k_x,
     clamped at zero before the square root.
@@ -277,7 +277,8 @@ def posterior(model: GpModel, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarr
     V = model.chol_inv @ Kx.T               # L^-1 k_x, L the train covariance factor
     var = model.hyper.signal_variance - np.sum(V * V, axis=0)
     std = np.sqrt(np.maximum(var, 0.0))
-    return Kx @ model.alpha, std
+    s = model.standardize
+    return s.scale * (Kx @ model.alpha) + s.center, s.scale * std
 
 
 def posterior_at(model: GpModel, x: np.ndarray) -> PosteriorGaussian:
@@ -286,7 +287,9 @@ def posterior_at(model: GpModel, x: np.ndarray) -> PosteriorGaussian:
 
 
 def joint_posterior_mvn(model: GpModel, XS: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint posterior mean vector and covariance matrix at a set of points.
+    """Joint posterior mean vector and covariance matrix at a set of points,
+    standardized: the sampler's standardized step, since factoring a raw-unit
+    covariance would round differently.
 
     A (q, d) XS gives a (q,) mean and a (q, q) covariance. Leading axes are
     a stack: (R, q, d) gives (R, q) means and R (q, q) covariances. One
@@ -307,7 +310,7 @@ def joint_posterior_mvn(model: GpModel, XS: np.ndarray) -> tuple[np.ndarray, np.
 
 def joint_posterior_samples(model: GpModel, XS: np.ndarray,
                             base_normals: np.ndarray) -> np.ndarray:
-    """Draws from the joint posterior at the q points of XS, standardized units.
+    """Draws from the joint posterior at the q points of XS, raw output units.
 
     ``base_normals`` is an (n_samples, q) matrix of standard-normal base
     draws, one row per sample; holding it fixed keeps the sample path
@@ -322,17 +325,8 @@ def joint_posterior_samples(model: GpModel, XS: np.ndarray,
     mean, cov = joint_posterior_mvn(model, XS)
     if base_normals.ndim != 2 or base_normals.shape[1] != cov.shape[-1]:
         raise ValueError("base_normals shape mismatch")
-    samples = _chol_with_jitter(cov)[0] @ base_normals.T
-    samples += mean[..., None]
-    return samples.swapaxes(-1, -2)
-
-
-def destandardize(model: GpModel, g: PosteriorGaussian) -> PosteriorGaussian:
-    """Map a standardized posterior back to raw output units."""
-    s = model.standardize
-    return PosteriorGaussian(mean=s.scale * g.mean + s.center, std=s.scale * g.std)
-
-
-def destandardize_arrays(model: GpModel, mean: np.ndarray, std: np.ndarray):
-    s = model.standardize
-    return s.scale * mean + s.center, s.scale * std
+    samples = (_chol_with_jitter(cov)[0] @ base_normals.T).swapaxes(-1, -2)
+    samples += mean[..., None, :]
+    samples *= model.standardize.scale
+    samples += model.standardize.center
+    return samples

@@ -9,7 +9,7 @@ import numpy as np
 
 from .campaign import CampaignState, best_so_far, fit_models
 from .errors import InvalidStateError
-from .gp import destandardize_arrays, posterior
+from .gp import posterior
 from .space import count
 
 DEFAULT_SLICE_RESOLUTION = 101
@@ -35,13 +35,14 @@ def emit_table(state: CampaignState, out_dir: str) -> str:
                 w.writerow([entry["stage"]] + _cells(entry[view], ".17g", "",
                                                      len(header) - 1))
 
-    widths = [max(8, len(h) + 2) for h in header]
-    lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
-    for entry in trace:
-        cells = [entry["stage"]] + _cells(entry["cumulative"], ".2f", "-",
-                                          len(header) - 1)
-        lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
-    return "\n".join(lines)
+    rows = [[entry["stage"]] + _cells(entry["cumulative"], ".2f", "-",
+                                      len(header) - 1) for entry in trace]
+    # at least 8 wide and 2 past the header, and 1 past every cell, so a
+    # space separates each pair of columns
+    widths = [max(8, len(h) + 2, *(len(c) + 1 for c in col))
+              for h, *col in zip(header, *rows)]
+    return "\n".join("".join(c.ljust(w) for c, w in zip(cells, widths))
+                     for cells in [header] + rows)
 
 
 def emit_slices(state: CampaignState, out_dir: str,
@@ -66,7 +67,7 @@ def emit_slices(state: CampaignState, out_dir: str,
         U = np.tile(u_star, (resolution, 1))       # numpy refuses a huge grid
         coords = np.linspace(dim.lower, dim.upper, resolution)
         U[:, i] = (coords - dim.lower) / (dim.upper - dim.lower)
-        mean, std = destandardize_arrays(mk, *posterior(mk, U))
+        mean, std = posterior(mk, U)
         for col, values in (("mean", mean), ("std", std)):
             path = os.path.join(out_dir, f"slice_{dim.name}_{col}.csv")
             with open(path, "w", newline="") as f:

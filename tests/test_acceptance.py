@@ -23,9 +23,8 @@ from chamberopt.campaign import (best_so_far, fit_models, init_campaign,
 from chamberopt.errors import ProtocolError
 from chamberopt.evaluators import (proxy_prechamber, read_proposals,
                                    write_proposals)
-from chamberopt.gp import (GpHyperparameters, PosteriorGaussian,
-                           destandardize, lml_and_grad, model_from_hyper,
-                           posterior, posterior_at)
+from chamberopt.gp import (GpHyperparameters, PosteriorGaussian, lml_and_grad,
+                           model_from_hyper, posterior, posterior_at)
 from chamberopt.optim import OptimizerBudget
 from chamberopt.space import PRECHAMBER_SPACE, latin_hypercube
 
@@ -68,8 +67,11 @@ def test_criterion_1_gp_oracle_equivalence():
                               signal_variance=rng.uniform(0.3, 3.0))
         m = model_from_hyper(X, y, "objective", h)
         Xq = rng.uniform(size=(100, d))
+        # the oracle works in standardized units
+        s = m.standardize
         mean, std = posterior(m, Xq)
-        om, os_ = dense_posterior(X, m.train_targets, h.lengthscales,
+        mean, std = (mean - s.center) / s.scale, std / s.scale
+        om, os_ = dense_posterior(X, (y - s.center) / s.scale, h.lengthscales,
                                   h.signal_variance, h.noise_std, Xq)
         worst = max(worst, np.max(np.abs(mean - om)), np.max(np.abs(std - os_)))
     elapsed = time.perf_counter() - t0
@@ -110,8 +112,8 @@ def _mc_payoff_samples(mk, mv, x, best, n, seed):
     rng = np.random.default_rng(seed)
     base_k = rng.standard_normal((n, 1))
     base_v = rng.standard_normal((n, 1))
-    gk = destandardize(mk, posterior_at(mk, x))
-    gv = destandardize(mv, posterior_at(mv, x))
+    gk = posterior_at(mk, x)
+    gv = posterior_at(mv, x)
     ks = gk.mean + gk.std * base_k[:, 0]
     vs = gv.mean + gv.std * base_v[:, 0]
     payoff = np.maximum(ks - best, 0.0)
@@ -133,8 +135,8 @@ def test_criterion_3_mc_vs_closed_form():
     checked_small = 0
     for t in range(50):
         x = rng.uniform(size=3)
-        gk = destandardize(mk, posterior_at(mk, x))
-        gv = destandardize(mv, posterior_at(mv, x))
+        gk = posterior_at(mk, x)
+        gv = posterior_at(mv, x)
         cf = constrained_ei(gk, gv, inc, THRESHOLD)
 
         n = 10**6
@@ -266,7 +268,7 @@ def test_criterion_8_workflow_shape(tmp_path):
     inc, _ = best_so_far(st)
     u_star = st.space.to_unit(np.asarray(inc.x))
     _, std_star = posterior(mk, u_star[None, :])
-    prior_std = np.sqrt(mk.hyper.signal_variance)
+    prior_std = np.sqrt(mk.hyper.signal_variance) * mk.standardize.scale
     assert std_star[0] < 0.1 * prior_std
     _ok(8, f"4-row table + 6 slice grids; std at incumbent "
            f"{std_star[0]:.3g} < 0.1 x prior {prior_std:.3g}")

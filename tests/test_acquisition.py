@@ -7,7 +7,7 @@ from chamberopt.acquisition import (AcquisitionConfig, constrained_ei,
 from chamberopt.campaign import CampaignState, best_so_far
 from chamberopt.errors import InvalidStateError
 from chamberopt.evaluators import Dataset, Observation
-from chamberopt.gp import (GpHyperparameters, PosteriorGaussian, destandardize,
+from chamberopt.gp import (GpHyperparameters, PosteriorGaussian,
                            model_from_hyper, posterior_at)
 from chamberopt.optim import OptimizerBudget
 from chamberopt.space import PRECHAMBER_SPACE
@@ -167,8 +167,8 @@ def _models(rng, n=10, d=2):
 
 
 def _closed_form_at(mk, mv, x, best, thr):
-    gk = destandardize(mk, posterior_at(mk, x))
-    gv = destandardize(mv, posterior_at(mv, x))
+    gk = posterior_at(mk, x)
+    gv = posterior_at(mv, x)
     return constrained_ei(gk, gv, best, thr)
 
 
@@ -187,7 +187,7 @@ def test_qcei_q1_converges_to_closed_form():
     cf = _closed_form_at(mk, mv, x, best, thr)
     n = 10**6
     est = qcei_mc(mk, mv, x[None, :], best, thr, *_base(3, n, 1))
-    gk = destandardize(mk, posterior_at(mk, x))
+    gk = posterior_at(mk, x)
     se = 3 * gk.std / np.sqrt(n)        # conservative bound on the MC error
     assert abs(est - cf) < max(3 * se, 1e-3)
 

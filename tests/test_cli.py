@@ -311,6 +311,13 @@ def _nan_signal_variance(doc):
                              "signal_variance": float("nan"), "noise_std": 0.005}
 
 
+def _iter_hand_tag(doc):
+    # by hand, "iter1" would print as the stage of the program's bo_iter_1
+    del doc["dataset"][3:]
+    for r, tag in zip(doc["dataset"], ["bo_iter_1", "iter1", "doe"]):
+        r["tag"] = tag
+
+
 def _huge_mc_samples(doc):
     # beyond numpy's index range: refused at load, not after the fits
     doc["acq"]["mc_samples"] = 10**400
@@ -321,7 +328,7 @@ def _huge_mc_samples(doc):
                                      _int_tag, _boolean_coordinate,
                                      _huge_int_k, _nan_coordinate, _string_lower,
                                      _integer_name, _nan_signal_variance,
-                                     _huge_mc_samples])
+                                     _huge_mc_samples, _iter_hand_tag])
 def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     d = _doe_ingested(tmp_path)
     before = _edit_state(d, corrupt)
@@ -332,6 +339,8 @@ def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     if corrupt in (_boolean_k, _boolean_v, _int_tag, _boolean_coordinate,
                    _out_of_bounds, _duplicate_row, _nan_k, _nan_coordinate):
         assert "dataset[" in err
+    if corrupt is _iter_hand_tag:
+        assert "dataset[1]: tag 'iter1'" in err
     if corrupt is _duplicate_row:
         last = len(json.loads(before)["dataset"]) - 1
         assert f"dataset[{last}]: duplicate" in err and "(matches dataset[0])" in err

@@ -9,7 +9,7 @@ from chamberopt.errors import (BoundsViolationError, DataError, ProtocolError)
 from chamberopt.evaluators import (QUADRATIC_SPACE, Dataset, Observation,
                                    benchmark_quadratic, proposal_ids,
                                    proxy_prechamber, read_proposals,
-                                   read_results, write_proposals)
+                                   read_results, stage_label, write_proposals)
 from chamberopt.space import PRECHAMBER_SPACE
 
 # frozen 201^3 grid scan of the proxy with v <= 25 (see grid scan in
@@ -199,6 +199,19 @@ def test_dataset_rejects_non_finite():
     ds = Dataset(space=PRECHAMBER_SPACE)
     with pytest.raises(DataError):
         ds.append(Observation((9.0, 0.8, 16.0), float("nan"), 20.0))
+
+
+def test_dataset_refuses_a_tag_with_a_program_stage_label():
+    # by hand, "iter1" would print as the stage of the program's bo_iter_1
+    rows = [Observation(x, 100.0, 20.0, tag) for x, tag in zip(
+        [(9.0, 0.8, 16.0), (10.0, 0.9, 17.0), (11.0, 1.0, 18.0)],
+        ["bo_iter_1", "iter1", "doe"])]
+    ds = Dataset(space=PRECHAMBER_SPACE)
+    with pytest.raises(DataError, match=r"^dataset\[1\]: tag 'iter1'"):
+        ds.append(*rows)
+    assert len(ds) == 0
+    ds.append(rows[0], rows[2])
+    assert [stage_label(r.tag) for r in ds] == ["iter1", "doe"]
 
 
 def test_dataset_rows_are_not_an_init_argument():

@@ -7,10 +7,10 @@ from chamberopt import boxmin, gp
 from chamberopt.errors import DegenerateDataError, NumericError
 from chamberopt.evaluators import (QUADRATIC_SPACE, benchmark_quadratic,
                                   proxy_prechamber)
-from chamberopt.gp import (GpHyperparameters, PosteriorGaussian, destandardize,
-                           fit, joint_posterior_mvn, joint_posterior_samples,
-                           lml_and_grad, model_from_hyper, posterior,
-                           posterior_at, standardization_for)
+from chamberopt.gp import (GpHyperparameters, fit, joint_posterior_mvn,
+                           joint_posterior_samples, lml_and_grad,
+                           model_from_hyper, posterior, posterior_at,
+                           standardization_for)
 from chamberopt.kernels import matern52_cross
 from chamberopt.space import PRECHAMBER_SPACE, latin_hypercube
 
@@ -22,6 +22,11 @@ def _random_dataset(rng, n, d):
     X = rng.uniform(size=(n, d))
     y = rng.normal(size=n)
     return X, y
+
+
+def _standardized(m, y):
+    """The targets a model was fitted on, in its standardized units."""
+    return (y - m.standardize.center) / m.standardize.scale
 
 
 # ------------------------------------------------------------ kernel
@@ -63,21 +68,12 @@ def test_constraint_standardization_keeps_zero_center():
     assert s.scale == pytest.approx(np.std(y))
 
 
-def test_destandardize_round_trip():
+def test_standardization_round_trip():
     rng = np.random.default_rng(5)
     y = rng.normal(100, 50, 20)
     s = standardization_for(y, "objective")
     back = ((y - s.center) / s.scale) * s.scale + s.center
     np.testing.assert_allclose(back, y, rtol=1e-12)
-
-
-def test_destandardize_spot_values():
-    m = model_from_hyper(np.array([[0.1], [0.9]]), np.array([50.0, 150.0]),
-                         "objective",
-                         GpHyperparameters(np.array([0.5]), 1.0))
-    g = destandardize(m, PosteriorGaussian(0.0, 1.0))
-    assert g.mean == pytest.approx(100.0)
-    assert g.std == pytest.approx(50.0)
 
 
 # ------------------------------------------------------------ fitting
@@ -86,9 +82,10 @@ def test_destandardize_spot_values():
 def test_fit_constant_targets_recovers_constant_mean():
     rng = np.random.default_rng(1)
     X = rng.uniform(size=(8, 2))
-    m = fit(X, np.full(8, 42.0), "objective", seed=0)
-    np.testing.assert_allclose(m.train_targets, 0.0)
-    g = destandardize(m, posterior_at(m, np.array([0.5, 0.5])))
+    y = np.full(8, 42.0)
+    m = fit(X, y, "objective", seed=0)
+    np.testing.assert_allclose(_standardized(m, y), 0.0)
+    g = posterior_at(m, np.array([0.5, 0.5]))
     assert g.mean == pytest.approx(42.0)
 
 
@@ -107,7 +104,7 @@ def test_fit_beats_generating_hyperparameters():
     y = np.linalg.cholesky(K) @ rng.standard_normal(20)
     y = (y - y.mean()) / y.std()        # already standardized scale
     m = fit(X, y, "objective", seed=0)
-    ys = (y - m.standardize.center) / m.standardize.scale
+    ys = _standardized(m, y)
     fitted_lml = lml_and_grad(X, ys, np.log(np.append(m.hyper.lengthscales,
                                                       m.hyper.signal_variance)))[0]
     gen_lml = dense_lml(X, ys, gen_ls, gen_s2, 0.005)
@@ -119,7 +116,7 @@ def test_two_point_fit_interpolates():
     y = np.array([1.0, 3.0])
     m = fit(X, y, "objective", seed=0)
     for xi, yi in zip(X, y):
-        g = destandardize(m, posterior_at(m, xi))
+        g = posterior_at(m, xi)
         band = 3 * 0.005 * m.standardize.scale
         assert abs(g.mean - yi) <= band + 1e-9
 
@@ -136,7 +133,7 @@ def test_fit_accepts_coincident_inputs():
     m = fit(X, np.array([1.0, 2.0, 3.0]), "objective", seed=0)
     assert np.isfinite(m.hyper.lengthscales).all()
     assert np.isfinite(m.hyper.signal_variance)
-    g = destandardize(m, posterior_at(m, np.array([0.5, 0.5])))
+    g = posterior_at(m, np.array([0.5, 0.5]))
     assert 1.0 < g.mean < 2.0
 
 
@@ -155,7 +152,7 @@ def test_fit_factorization_residual():
     m = fit(X, y, "objective", seed=0)
     Kn = (kernel_matrix(X, X, m.hyper.lengthscales, m.hyper.signal_variance)
           + 0.005**2 * np.eye(25))
-    resid = np.linalg.norm(Kn @ m.alpha - m.train_targets)
+    resid = np.linalg.norm(Kn @ m.alpha - _standardized(m, y))
     assert resid < 1e-8
 
 
@@ -218,10 +215,12 @@ def test_posterior_matches_dense_oracle():
     m = model_from_hyper(X, y, "objective", h)
     Xq = rng.uniform(size=(100, 3))
     mean, std = posterior(m, Xq)
-    om, os = dense_posterior(X, m.train_targets, h.lengthscales,
+    # the oracle works in standardized units
+    s = m.standardize
+    om, os = dense_posterior(X, _standardized(m, y), h.lengthscales,
                              h.signal_variance, h.noise_std, Xq)
-    np.testing.assert_allclose(mean, om, atol=1e-8)
-    np.testing.assert_allclose(std, os, atol=1e-8)
+    np.testing.assert_allclose((mean - s.center) / s.scale, om, atol=1e-8)
+    np.testing.assert_allclose(std / s.scale, os, atol=1e-8)
 
 
 def test_posterior_interpolates_training_data():
@@ -231,8 +230,9 @@ def test_posterior_interpolates_training_data():
                           signal_variance=1.0, noise_std=1e-8)
     m = model_from_hyper(X, y, "objective", h)
     mean, std = posterior(m, X)
-    np.testing.assert_allclose(mean, m.train_targets, atol=1e-5)
-    assert np.all(std < 1e-3)
+    # raw output units: the targets as given, not their standardized values
+    np.testing.assert_allclose(mean, y, atol=1e-5 * m.standardize.scale)
+    assert np.all(std < 1e-3 * m.standardize.scale)
 
 
 def test_posterior_prior_reversion_far_from_data():
@@ -240,18 +240,22 @@ def test_posterior_prior_reversion_far_from_data():
     h = GpHyperparameters(lengthscales=np.array([0.02, 0.02]),
                           signal_variance=2.0)
     m = model_from_hyper(X, np.array([5.0, 6.0]), "objective", h)
+    s = m.standardize
+    assert (s.center, s.scale) == (5.5, 0.5)
+    # the prior in raw units: (center, scale * sqrt(signal_variance))
     g = posterior_at(m, np.array([1.0, 1.0]))     # 70 lengthscales away
-    assert abs(g.mean) < 1e-6
-    assert g.std == pytest.approx(np.sqrt(2.0), abs=1e-6)
+    assert abs(g.mean - 5.5) < 1e-6 * 0.5
+    assert g.std == pytest.approx(0.5 * np.sqrt(2.0), abs=1e-6 * 0.5)
 
 
 # ------------------------------------------------------------ joint sampling
 
 
 def _toy_model(rng, n=8, d=2):
+    """A model and its raw targets."""
     X, y = _random_dataset(rng, n, d)
     h = GpHyperparameters(lengthscales=np.full(d, 0.4), signal_variance=1.0)
-    return model_from_hyper(X, y, "objective", h)
+    return model_from_hyper(X, y, "objective", h), y
 
 
 def _normals(seed, n, q):
@@ -260,7 +264,7 @@ def _normals(seed, n, q):
 
 def test_joint_samples_univariate_mean():
     rng = np.random.default_rng(11)
-    m = _toy_model(rng)
+    m, _ = _toy_model(rng)
     x = np.array([[0.5, 0.5]])
     n = 20000
     s = joint_posterior_samples(m, x, _normals(0, n, 1))
@@ -270,7 +274,7 @@ def test_joint_samples_univariate_mean():
 
 def test_joint_samples_identical_points_fully_correlated():
     rng = np.random.default_rng(12)
-    m = _toy_model(rng)
+    m, _ = _toy_model(rng)
     xs = np.array([[0.4, 0.6], [0.4, 0.6]])
     s = joint_posterior_samples(m, xs, _normals(1, 500, 2))
     assert np.max(np.abs(s[:, 0] - s[:, 1])) < 1e-4
@@ -278,13 +282,14 @@ def test_joint_samples_identical_points_fully_correlated():
 
 def test_joint_samples_covariance_converges():
     rng = np.random.default_rng(13)
-    m = _toy_model(rng)
+    m, y = _toy_model(rng)
     xs = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.2]])
     s = joint_posterior_samples(m, xs, _normals(2, 10**6, 3))
-    _, cov = dense_joint_covariance(m.train_inputs, m.train_targets,
+    _, cov = dense_joint_covariance(m.train_inputs, _standardized(m, y),
                                     m.hyper.lengthscales,
                                     m.hyper.signal_variance,
                                     m.hyper.noise_std, xs)
+    cov *= m.standardize.scale**2       # the oracle's units to raw units
     emp = np.cov(s.T)
     scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     np.testing.assert_allclose(emp / scale, cov / scale, atol=0.01)
@@ -298,7 +303,7 @@ _BATCH_SHAPES = pytest.mark.parametrize("shape", [(4, 2), (3, 4, 2)],
 @_BATCH_SHAPES
 def test_joint_samples_deterministic(shape):
     rng = np.random.default_rng(14)
-    m = _toy_model(rng)
+    m, _ = _toy_model(rng)
     xs = rng.uniform(size=shape)
     a = joint_posterior_samples(m, xs, _normals(5, 64, 4))
     b = joint_posterior_samples(m, xs, _normals(5, 64, 4))
@@ -309,14 +314,14 @@ def test_joint_samples_deterministic(shape):
 @_BATCH_SHAPES
 def test_joint_mvn_matches_dense_oracle(shape):
     rng = np.random.default_rng(15)
-    m = _toy_model(rng)
+    m, y = _toy_model(rng)
     xs = rng.uniform(size=shape)
     mean, cov = joint_posterior_mvn(m, xs)
     assert mean.shape == shape[:-1] and cov.shape == shape[:-1] + (4,)
     # each block is the posterior of its batch alone
     for x, mean_i, cov_i in zip(xs.reshape(-1, 4, 2), mean.reshape(-1, 4),
                                 cov.reshape(-1, 4, 4)):
-        om, oc = dense_joint_covariance(m.train_inputs, m.train_targets,
+        om, oc = dense_joint_covariance(m.train_inputs, _standardized(m, y),
                                         m.hyper.lengthscales,
                                         m.hyper.signal_variance,
                                         m.hyper.noise_std, x)
@@ -467,7 +472,7 @@ def test_fit_reaches_lbfgsb_likelihood():
     on_sv_bound = 0
     for X, y, channel, seed in data:
         m = fit(X, y, channel, seed)
-        lml = lml_and_grad(X, m.train_targets,
+        lml = lml_and_grad(X, _standardized(m, y),
                            np.log(np.append(m.hyper.lengthscales,
                                             m.hyper.signal_variance)))[0]
         assert lml >= _lbfgsb_best_lml(X, y, channel, seed) - 1e-3

@@ -27,9 +27,6 @@ def _closed_form_cei_grid(mk, mv, best, thr, res=201):
     G = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     mean_k, std_k = posterior(mk, G)
     mean_v, std_v = posterior(mv, G)
-    sk, sv = mk.standardize, mv.standardize
-    mean_k, std_k = sk.scale * mean_k + sk.center, sk.scale * std_k
-    mean_v, std_v = sv.scale * mean_v + sv.center, sv.scale * std_v
     from scipy.stats import norm
     z = np.where(std_k > 0, (mean_k - best) / np.where(std_k > 0, std_k, 1), 0)
     ei = np.where(std_k > 0,
@@ -122,9 +119,6 @@ def _mc_surface_on_grid(mk, mv, best, thr, zk, zv, res=201):
     G = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     mean_k, std_k = posterior(mk, G)
     mean_v, std_v = posterior(mv, G)
-    sk, sv = mk.standardize, mv.standardize
-    mean_k, std_k = sk.scale * mean_k + sk.center, sk.scale * std_k
-    mean_v, std_v = sv.scale * mean_v + sv.center, sv.scale * std_v
     vals = np.empty(G.shape[0])
     chunk = 1000
     for lo in range(0, G.shape[0], chunk):

@@ -8,7 +8,7 @@ from chamberopt.campaign import (CampaignState, best_so_far, fit_models,
                                  init_campaign, run_campaign)
 from chamberopt.errors import InvalidStateError
 from chamberopt.evaluators import Dataset, Observation
-from chamberopt.gp import destandardize_arrays, posterior
+from chamberopt.gp import posterior
 from chamberopt.optim import OptimizerBudget
 from chamberopt.report import emit_slices, emit_table
 from chamberopt.space import PRECHAMBER_SPACE
@@ -55,6 +55,21 @@ def test_table_text_two_decimals():
     assert len(cell.split(".")[1]) == 2
 
 
+def test_table_text_separates_long_cells(tmp_path):
+    # a 10-character k and a 15-character stage outgrow their headers
+    ds = Dataset(space=PRECHAMBER_SPACE)
+    ds.append(Observation((9.0, 0.8, 16.0), 1234567.5, 20.0, "doe"),
+              Observation((10.0, 0.9, 17.0), 100.0, 20.0, "calibration_run"))
+    st = CampaignState(space=PRECHAMBER_SPACE,
+                       acq=AcquisitionConfig(constraint_threshold=25.0),
+                       budget=SMALL_BUDGET, dataset=ds, rng_seed=0,
+                       evaluator="external")
+    lines = emit_table(st, str(tmp_path)).splitlines()
+    assert lines[1].split() == ["doe", "1234567.50", "20.00", "9.00", "0.80",
+                                "16.00"]
+    assert [len(line.split()) for line in lines] == [6, 6, 6]
+
+
 def test_table_batch_view_written(tmp_path):
     st = _campaign(iters=2)
     emit_table(st, str(tmp_path))
@@ -77,21 +92,20 @@ def test_slices_fit_the_objective_only(tmp_path, monkeypatch):
 
 
 def test_slice_grid_consistent_with_posterior(tmp_path):
+    # the CSVs hold the model's raw-unit posterior on the slice grid, bit for bit
     st = _campaign(iters=1)
-    emit_slices(st, str(tmp_path), resolution=7)
+    res = 7
+    emit_slices(st, str(tmp_path), resolution=res)
     mk, _ = fit_models(st)
     inc, _ = best_so_far(st)
     u_star = st.space.to_unit(np.asarray(inc.x))
     for i, dim in enumerate(st.space.dims):
-        mrows = _read_csv(tmp_path / f"slice_{dim.name}_mean.csv")[1:]
-        srows = _read_csv(tmp_path / f"slice_{dim.name}_std.csv")[1:]
-        for mrow, srow in zip(mrows, srows):
-            coord = float(mrow[0])
-            u = u_star.copy()
-            u[i] = (coord - dim.lower) / (dim.upper - dim.lower)
-            mean, std = destandardize_arrays(mk, *posterior(mk, u[None, :]))
-            assert abs(float(mrow[1]) - mean[0]) < 1e-10
-            assert abs(float(srow[1]) - std[0]) < 1e-10
+        U = np.tile(u_star, (res, 1))
+        coords = np.linspace(dim.lower, dim.upper, res)
+        U[:, i] = (coords - dim.lower) / (dim.upper - dim.lower)
+        for col, values in zip(("mean", "std"), posterior(mk, U)):
+            rows = _read_csv(tmp_path / f"slice_{dim.name}_{col}.csv")[1:]
+            assert [float(r[1]) for r in rows] == values.tolist()
 
 
 def test_slice_resolution_two(tmp_path):
