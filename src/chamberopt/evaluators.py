@@ -71,14 +71,13 @@ class Dataset:
     def append(self, *observations: Observation):
         """Add a batch of observations, all or nothing. Each needs a finite
         k and v, coordinates within the bounds, no ``repeats`` match and a
-        tag that does not start with ``iter``, the prefix ``stage_label``
-        gives program iterations; DataError names a refused row as
+        tag with a ``stage_label``; DataError names a refused row as
         ``dataset[i]``, and ``rows`` is left as it was."""
         matches = self.repeats(obs.x for obs in observations)
         for i, (obs, j) in enumerate(zip(observations, matches), start=len(self.rows)):
             if not (math.isfinite(obs.k) and math.isfinite(obs.v)):
                 raise DataError(f"dataset[{i}]: non-finite observation at {obs.x}")
-            if obs.tag.startswith("iter"):
+            if stage_label(obs.tag) is None:
                 raise DataError(f"dataset[{i}]: tag {obs.tag!r} would print as "
                                 f"a program iteration's stage")
             if j is not None:
@@ -87,11 +86,15 @@ class Dataset:
         self.rows = self.rows + list(observations)
 
 
-def stage_label(tag: str) -> str:
+def stage_label(tag: str) -> str | None:
     """A tag's stage label in the tables: ``bo_iter_<n>``, a program
-    iteration, prints as ``iter<n>`` and any other tag as it is, so no two
-    tags that ``Dataset.append`` accepts share a label."""
-    return re.sub("^bo_iter_", "iter", tag)
+    iteration, prints as ``iter<n>`` and any other tag as it is. A tag that
+    already starts with ``iter`` would share a program iteration's label, so
+    it has none and ``Dataset.append`` refuses it."""
+    label = "iter"
+    if tag.startswith(label):
+        return None
+    return re.sub(f"^bo_{label}_", label, tag)
 
 
 def proxy_prechamber(x) -> tuple[float, float]:

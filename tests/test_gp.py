@@ -277,7 +277,7 @@ def test_joint_samples_identical_points_fully_correlated():
     m, _ = _toy_model(rng)
     xs = np.array([[0.4, 0.6], [0.4, 0.6]])
     s = joint_posterior_samples(m, xs, _normals(1, 500, 2))
-    assert np.max(np.abs(s[:, 0] - s[:, 1])) < 1e-4
+    assert np.max(np.abs(s[:, 0] - s[:, 1])) < 1e-4 * m.standardize.scale
 
 
 def test_joint_samples_covariance_converges():

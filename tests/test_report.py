@@ -92,7 +92,8 @@ def test_slices_fit_the_objective_only(tmp_path, monkeypatch):
 
 
 def test_slice_grid_consistent_with_posterior(tmp_path):
-    # the CSVs hold the model's raw-unit posterior on the slice grid, bit for bit
+    # the CSVs pair each grid coordinate with the model's raw-unit posterior
+    # there, bit for bit
     st = _campaign(iters=1)
     res = 7
     emit_slices(st, str(tmp_path), resolution=res)
@@ -105,6 +106,7 @@ def test_slice_grid_consistent_with_posterior(tmp_path):
         U[:, i] = (coords - dim.lower) / (dim.upper - dim.lower)
         for col, values in zip(("mean", "std"), posterior(mk, U)):
             rows = _read_csv(tmp_path / f"slice_{dim.name}_{col}.csv")[1:]
+            assert [float(r[0]) for r in rows] == coords.tolist()
             assert [float(r[1]) for r in rows] == values.tolist()
 
 
