@@ -164,7 +164,8 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
     best, _ = best_so_far(state)
     batch_u = propose_batch(mk, mv, state.acq, state.budget,
                             derive_seed(state.rng_seed, it, _ROLE_PROPOSE),
-                            incumbent_value=None if best is None else best.k)
+                            incumbent=None if best is None
+                            else (best.k, state.space.to_unit(best.x)))
     rng = np.random.default_rng(derive_seed(state.rng_seed, it, _ROLE_DEDUP))
     _separate_batch(state, batch_u, rng)
     batch = _batch(it + 1, state.space.from_unit(batch_u))

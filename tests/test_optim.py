@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from chamberopt import optim
-from chamberopt.acquisition import AcquisitionConfig
+from chamberopt.acquisition import AcquisitionConfig, qcei_mc
 from chamberopt.errors import NumericError
 from chamberopt.gp import GpHyperparameters, model_from_hyper, posterior
 from chamberopt.optim import OptimizerBudget, propose_batch
+from chamberopt.space import unit_latin_hypercube
 
 
 def _planted_models(peak, d=2, n_extra=6, seed=0):
@@ -20,6 +21,12 @@ def _planted_models(peak, d=2, n_extra=6, seed=0):
     mk = model_from_hyper(X, k, "objective", hk)
     mv = model_from_hyper(X, v, "constraint", hv)
     return mk, mv
+
+
+def _at_peak(mk, value):
+    """An incumbent with the given value at the planted peak, the argmax row
+    of ``_planted_models``' data."""
+    return value, mk.train_inputs[0]
 
 
 def _closed_form_cei_grid(mk, mv, best, thr, res=201):
@@ -43,7 +50,8 @@ def test_degenerate_flat_surface_completes():
     config = AcquisitionConfig(constraint_threshold=-100.0, batch_size=2,
                                mc_samples=256)
     budget = OptimizerBudget(raw_samples=32, restarts=2)
-    batch = propose_batch(mk, mv, config, budget, seed=0, incumbent_value=5.0)
+    batch = propose_batch(mk, mv, config, budget, seed=0,
+                          incumbent=_at_peak(mk, 5.0))
     assert batch.shape == (2, 2)
     assert np.all(batch >= 0) and np.all(batch <= 1)
 
@@ -55,7 +63,7 @@ def test_single_peak_found_near_grid_argmax():
     config = AcquisitionConfig(constraint_threshold=thr, batch_size=1,
                                mc_samples=2048)
     batch = propose_batch(mk, mv, config, OptimizerBudget(), seed=1,
-                          incumbent_value=best)
+                          incumbent=_at_peak(mk, best))
     G, vals = _closed_form_cei_grid(mk, mv, best, thr)
     g_star = G[np.argmax(vals)]
     assert np.linalg.norm(batch[0] - g_star) < 0.05
@@ -66,7 +74,8 @@ def test_q5_batch_points_distinct():
     config = AcquisitionConfig(constraint_threshold=25.0, batch_size=5,
                                mc_samples=512)
     budget = OptimizerBudget(raw_samples=64, restarts=4)
-    batch = propose_batch(mk, mv, config, budget, seed=2, incumbent_value=1.0)
+    batch = propose_batch(mk, mv, config, budget, seed=2,
+                          incumbent=_at_peak(mk, 1.0))
     assert batch.shape == (5, 2)
     for i in range(5):
         for j in range(i + 1, 5):
@@ -78,8 +87,10 @@ def test_determinism():
     config = AcquisitionConfig(constraint_threshold=25.0, batch_size=3,
                                mc_samples=512)
     budget = OptimizerBudget(raw_samples=64, restarts=3)
-    a = propose_batch(mk, mv, config, budget, seed=11, incumbent_value=1.0)
-    b = propose_batch(mk, mv, config, budget, seed=11, incumbent_value=1.0)
+    a = propose_batch(mk, mv, config, budget, seed=11,
+                      incumbent=_at_peak(mk, 1.0))
+    b = propose_batch(mk, mv, config, budget, seed=11,
+                      incumbent=_at_peak(mk, 1.0))
     np.testing.assert_array_equal(a, b)
 
 
@@ -97,7 +108,8 @@ def test_numeric_failure_scores_one_candidate(monkeypatch):
     config = AcquisitionConfig(constraint_threshold=25.0, batch_size=3,
                                mc_samples=256)
     budget = OptimizerBudget(raw_samples=32, restarts=3)
-    batch = propose_batch(mk, mv, config, budget, seed=6, incumbent_value=1.0)
+    batch = propose_batch(mk, mv, config, budget, seed=6,
+                          incumbent=_at_peak(mk, 1.0))
     assert batch.shape == (3, 2)
     assert np.all(batch >= 0.0) and np.all(batch <= 1.0)
     assert batch[0, 0] <= 0.5      # a failed candidate never wins
@@ -108,7 +120,8 @@ def test_containment():
     config = AcquisitionConfig(constraint_threshold=25.0, batch_size=4,
                                mc_samples=512)
     budget = OptimizerBudget(raw_samples=64, restarts=4)
-    batch = propose_batch(mk, mv, config, budget, seed=3, incumbent_value=1.0)
+    batch = propose_batch(mk, mv, config, budget, seed=3,
+                          incumbent=_at_peak(mk, 1.0))
     assert np.all(batch >= 0.0) and np.all(batch <= 1.0)
 
 
@@ -152,7 +165,7 @@ def test_grid_oracle_dominance_2d():
                                    mc_samples=mc)
         seed = 100 + t
         batch = propose_batch(mk, mv, config, OptimizerBudget(), seed,
-                              incumbent_value=best)
+                              incumbent=(best, X[np.argmax(k)]))
         # reproduce the base draws propose_batch derives from its seed
         r = np.random.default_rng(seed)
         zk = r.standard_normal((mc, 1))[:, 0]
@@ -210,27 +223,153 @@ def test_refinement_scores_stacks_only(monkeypatch):
     config = AcquisitionConfig(constraint_threshold=25.0, batch_size=2,
                                mc_samples=128)
     budget = OptimizerBudget(raw_samples=16, restarts=3)
-    for incumbent_value in (1.0, None):
+    for incumbent in (_at_peak(mk, 1.0), None):
         shapes.clear()
-        propose_batch(mk, mv, config, budget, seed=4,
-                      incumbent_value=incumbent_value)
+        propose_batch(mk, mv, config, budget, seed=4, incumbent=incumbent)
         assert len(shapes) > 16 // optim._SCREEN_CHUNK
         assert set(shapes) == {3}
 
 
-def test_lockstep_restarts_end_independently():
+def test_lockstep_restarts_end_independently(monkeypatch):
     # a bowl steep enough that every restart ends on _STEP_MIN: on a unit
     # bowl a move near c gains less than _GAIN_TOL about 1e-3 away from it
     c = np.array([[0.3, 0.6], [0.55, 0.2]])
-    calls = []
+    n = c.size
+    calls, sweeps = [], []
 
     def acquisition(XS):
         calls.append(XS.shape)
         return -1e6 * np.sum((XS - c) ** 2, axis=(-2, -1))
 
+    real_screen = optim._screen
+
+    def screen(acq, stack):
+        sweeps.append(stack.copy())
+        return real_screen(acq, stack)
+
+    monkeypatch.setattr(optim, "_screen", screen)
+    # the restart at the corner 0 has its -(1, ..., 1) move clipped away
     x0 = np.stack([np.full((2, 2), 0.9), c, np.zeros((2, 2))])
     x, fx = optim._pattern_search(acquisition, x0, acquisition(x0))
     assert np.all(np.abs(x - c) <= 2 * optim._STEP_MIN)
     np.testing.assert_array_equal(x[1], c)
     np.testing.assert_array_equal(fx, acquisition(x))
     assert all(len(shape) == 3 for shape in calls)
+    lockstep = sum(len(stack) for stack in sweeps)
+
+    # alone, a restart's point is the first candidate that improved on it,
+    # so each sweep shows what the restart was polled from
+    solo = 0
+    for start, end in zip(x0, x):
+        sweeps.clear()
+        x1, _ = optim._pattern_search(acquisition, start[None],
+                                      acquisition(start[None]))
+        np.testing.assert_array_equal(x1[0], end)
+        point, value = start, acquisition(start)
+        for stack in sweeps:
+            # the minimal positive basis, and no move clipped onto the point
+            assert len(stack) <= n + 1
+            assert not any(np.array_equal(cand, point) for cand in stack)
+            scores = acquisition(stack)
+            if scores.max() > value:
+                point, value = stack[np.argmax(scores)], scores.max()
+        solo += sum(len(stack) for stack in sweeps)
+    assert len(sweeps[0]) == n      # the corner start's first poll
+    assert lockstep == solo
+
+
+def _thin_positive_surface():
+    """Models whose qCEI over the planted incumbent p is positive only within
+    about 0.02 of p: an objective bowl k = -50 |x - p|^2 known exactly at a
+    grid and at p, so precisely that no draw improves on k(p) = 0 further
+    out, and a constraint that is feasible everywhere. Returns the models,
+    the incumbent (the data's argmax row) and the threshold."""
+    p = np.array([0.53, 0.37, 0.61])
+    d = p.size
+    g = np.linspace(0, 1, 6)
+    X = np.vstack([np.stack(np.meshgrid(*[g] * d, indexing="ij"),
+                            axis=-1).reshape(-1, d), p])
+    k = -50.0 * np.sum((X - p) ** 2, axis=1)
+    h = GpHyperparameters(lengthscales=np.full(d, 2.0), signal_variance=1.0,
+                          noise_std=1e-3)
+    mk = model_from_hyper(X, k, "objective", h)
+    mv = model_from_hyper(X, X[:, 0], "constraint", h)
+    return mk, mv, (float(np.max(k)), X[np.argmax(k)]), 2.0
+
+
+def test_seeded_screen_reaches_a_thin_positive_region():
+    # a Latin-hypercube screen of 256 batches of two 3-D points misses a ball
+    # of radius 0.02 and refinement of flat starts never moves, so a screen
+    # without the seeded half proposes a batch of qCEI 0 here (seeds 0-6)
+    mk, mv, incumbent, thr = _thin_positive_surface()
+    rng = np.random.default_rng(3)
+    zk, zv = rng.standard_normal((1024, 1)), rng.standard_normal((1024, 1))
+    u = rng.normal(size=(20, 1, 3))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    for r in (0.03, 0.1):
+        far = incumbent[1] + r * u
+        assert np.all(qcei_mc(mk, mv, far, incumbent[0], thr, zk, zv) == 0.0)
+    config = AcquisitionConfig(constraint_threshold=thr, batch_size=2,
+                               mc_samples=1024)
+    budget = OptimizerBudget(raw_samples=256, restarts=4)
+    for seed in (0, 1):
+        batch = propose_batch(mk, mv, config, budget, seed, incumbent=incumbent)
+        draws = np.random.default_rng(seed)
+        base_k = draws.standard_normal((1024, 2))
+        base_v = draws.standard_normal((1024, 2))
+        assert qcei_mc(mk, mv, batch, incumbent[0], thr, base_k, base_v) > 0.0
+        assert np.min(np.linalg.norm(batch - incumbent[1], axis=1)) < 0.03
+
+
+def _first_screen(monkeypatch, incumbent, raw_samples, seed=5):
+    """The stack of the first ``_screen`` call of one proposal, and the
+    proposal."""
+    mk, mv = _planted_models([0.35, 0.65], seed=12)
+    stacks = []
+    real_screen = optim._screen
+
+    def screen(acquisition, stack):
+        stacks.append(stack.copy())
+        return real_screen(acquisition, stack)
+
+    monkeypatch.setattr(optim, "_screen", screen)
+    config = AcquisitionConfig(constraint_threshold=25.0, batch_size=3,
+                               mc_samples=128)
+    budget = OptimizerBudget(raw_samples=raw_samples, restarts=2)
+    batch = propose_batch(mk, mv, config, budget, seed,
+                          incumbent=None if incumbent is None
+                          else _at_peak(mk, incumbent))
+    return stacks[0], batch
+
+
+def _latin_screen(raw_samples, q, d, seed, mc_samples=128):
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((mc_samples, q))
+    rng.standard_normal((mc_samples, q))
+    return unit_latin_hypercube(raw_samples, q * d, rng).reshape(-1, q, d)
+
+
+def test_fallback_screen_is_the_latin_hypercube(monkeypatch):
+    # without an incumbent the screen is exactly the Latin hypercube drawn
+    # after the base draws, so fallback proposals replay as before
+    stack, _ = _first_screen(monkeypatch, None, 32)
+    np.testing.assert_array_equal(stack, _latin_screen(32, 3, 2, seed=5))
+
+
+def test_seeded_screen_keeps_its_first_half(monkeypatch):
+    # with an incumbent the last half of the screen is drawn around it, after
+    # the Latin hypercube, whose first half stays in place
+    stack, _ = _first_screen(monkeypatch, 1.0, 32)
+    latin = _latin_screen(32, 3, 2, seed=5)
+    np.testing.assert_array_equal(stack[:16], latin[:16])
+    seeded = stack[16:]
+    assert np.all((seeded >= 0.0) & (seeded <= 1.0))
+    assert np.all(np.abs(seeded - [0.35, 0.65]) < 8 * optim._SEED_SIGMA)
+
+
+def test_one_raw_sample_with_an_incumbent(monkeypatch):
+    # a one-batch screen seeds no batch and still proposes a valid batch
+    stack, batch = _first_screen(monkeypatch, 1.0, 1)
+    np.testing.assert_array_equal(stack, _latin_screen(1, 3, 2, seed=5))
+    assert batch.shape == (3, 2)
+    assert np.all((batch >= 0.0) & (batch <= 1.0))
