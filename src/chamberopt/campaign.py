@@ -22,16 +22,17 @@ from .errors import (BoundsViolationError, DataError, InvalidStateError,
 from .evaluators import (EVALUATORS, Dataset, Observation, proposal_ids,
                          proposals_path, read_results, stage_label,
                          write_proposals)
-from .gp import GpHyperparameters, GpModel, fit
+from .gp import GpModel, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, count, latin_hypercube, real
 
 # older versions also stored keys that nothing read or that held a constant:
 # "kernel_nu" and "sampler" (1), an acquisition "kind" (1-2), "lhs_midpoint"
 # and "fitted_standardize_k/v" (1-3), "doe_n" and "budget.convergence_tol"
-# (1-4), "budget.max_iters_per_restart" (1-5); load_state ignores them and
-# refuses a kind other than "cei" or a budget value other than its constant
-STATE_VERSION = 6
+# (1-4), "budget.max_iters_per_restart" (1-5), "fitted_hyper_k/v" (1-6);
+# load_state ignores them and refuses a kind other than "cei" or a budget
+# value other than its constant
+STATE_VERSION = 7
 _READABLE_VERSIONS = tuple(range(1, STATE_VERSION + 1))
 
 # role tags for deriving per-stage substream seeds
@@ -58,8 +59,6 @@ class CampaignState:
     evaluator: str = "external"        # external | proxy | quadratic
     iteration: int = 0                 # completed BO iterations
     pending: list[tuple[str, tuple[float, ...]]] = field(default_factory=list)
-    fitted_hyper_k: GpHyperparameters | None = None
-    fitted_hyper_v: GpHyperparameters | None = None
 
     def __post_init__(self):
         count(self.rng_seed, "rng_seed")
@@ -160,7 +159,6 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
 
     it = state.iteration
     mk, mv = fit_models(state)
-    state.fitted_hyper_k, state.fitted_hyper_v = mk.hyper, mv.hyper
     best, _ = best_so_far(state)
     batch_u = propose_batch(mk, mv, state.acq, state.budget,
                             derive_seed(state.rng_seed, it, _ROLE_PROPOSE),
@@ -227,21 +225,6 @@ def run_campaign(state: CampaignState, n_iterations: int) -> CampaignState:
 
 # ---------------------------------------------------------------- persistence
 
-def _hyper_to_json(h: GpHyperparameters | None):
-    if h is None:
-        return None
-    return {"lengthscales": [float(v) for v in h.lengthscales],
-            "signal_variance": float(h.signal_variance),
-            "noise_std": float(h.noise_std)}
-
-
-def _hyper_from_json(doc, key: str):
-    try:
-        return None if doc[key] is None else GpHyperparameters(**doc[key])
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{key}: {e}") from e
-
-
 def _records_from_json(doc, space: ParameterSpace):
     """The dataset and the pending (id, x) proposals of a state document;
     an error names the record, as ``dataset[i]`` or ``pending[i]``."""
@@ -288,8 +271,6 @@ def save_state(state: CampaignState, path: str) -> None:
         "dataset": [{"x": list(r.x), "k": r.k, "v": r.v, "tag": r.tag}
                     for r in state.dataset],
         "pending": [{"id": pid, "x": list(x)} for pid, x in state.pending],
-        "fitted_hyper_k": _hyper_to_json(state.fitted_hyper_k),
-        "fitted_hyper_v": _hyper_to_json(state.fitted_hyper_v),
     }
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".state-", suffix=".json")
@@ -306,10 +287,11 @@ def save_state(state: CampaignState, path: str) -> None:
 
 
 def load_state(path: str) -> CampaignState:
+    # ValueError: bad JSON, bad UTF-8 or an integer past Python's digit limit
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise StateFileError(f"corrupt state file {path}: {e}") from e
     except OSError as e:
         raise StateFileError(f"cannot read state file {path}: {e}") from e
@@ -342,9 +324,7 @@ def load_state(path: str) -> CampaignState:
         state = CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,
             rng_seed=doc["rng_seed"], evaluator=doc["evaluator"],
-            iteration=doc["iteration"], pending=pending,
-            fitted_hyper_k=_hyper_from_json(doc, "fitted_hyper_k"),
-            fitted_hyper_v=_hyper_from_json(doc, "fitted_hyper_v"))
+            iteration=doc["iteration"], pending=pending)
     except (KeyError, TypeError, ValueError, DataError) as e:
         raise StateFileError(f"{path}: malformed state file: {e}") from e
     return state

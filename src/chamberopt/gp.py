@@ -33,7 +33,6 @@ import numpy as np
 from .boxmin import minimize_box
 from .errors import DegenerateDataError, NumericError
 from .kernels import matern52_cross, matern52_cross_grad
-from .space import real
 
 NOISE_STD = 0.005          # fixed, standardized output units; never fitted
 
@@ -61,14 +60,12 @@ class GpHyperparameters:
     noise_std: float = NOISE_STD
 
     def __post_init__(self):
-        # an object array keeps each value's own type for the number rule
-        ls = np.atleast_1d(np.array(self.lengthscales, dtype=object))
-        values = [real(v, "lengthscales") for v in ls] + [
-            real(self.signal_variance, "signal_variance"),
-            real(self.noise_std, "noise_std")]
-        if min(values) <= 0:
-            raise ValueError("hyperparameters must be strictly positive")
-        object.__setattr__(self, "lengthscales", ls.astype(float))
+        ls = np.atleast_1d(np.array(self.lengthscales, dtype=float))
+        values = np.append(ls, [self.signal_variance, self.noise_std])
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValueError("hyperparameters must be finite and strictly "
+                             f"positive, got {values.tolist()}")
+        object.__setattr__(self, "lengthscales", ls)
 
 
 @dataclass(frozen=True)

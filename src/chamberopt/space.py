@@ -11,8 +11,9 @@ a file reader only builds the types. An integer (``count``) is a Python
 and JSON cannot write back a numpy integer; it is at most ``sys.maxsize``,
 numpy's index range, so a larger count fails at load and not in numpy after
 a full fit. A finite number (``real``) is an ``int`` or ``float``, not a
-``bool``, NaN, +-inf or an int beyond the float range. A coordinate is
-tested as ``lower <= x <= upper``: NaN fails.
+``bool``, NaN, +-inf or an int beyond the float range. A dimension's span
+``upper - lower`` must be finite too, or every scaling by it overflows. A
+coordinate is tested as ``lower <= x <= upper``: NaN fails.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ class ParameterSpace:
             if hi <= lo:
                 raise ValueError(
                     f"dimension {d.name!r}: upper ({hi}) must exceed lower ({lo})")
+            if not hi - lo <= sys.float_info.max:
+                raise ValueError(f"'space[{i}]': the span upper - lower of "
+                                 f"{d.name!r} overflows to inf")
             dims.append(Dimension(d.name, lo, hi))
         if len({d.name for d in dims}) != len(dims):
             raise ValueError("dimension names must be unique")

@@ -170,20 +170,32 @@ def test_ingest_mismatched_ids_is_protocol_error(tmp_path, capsys, content):
 _DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 
 
+def _with_huge_int(path, key):
+    """The JSON file at ``path`` with ``key`` an integer literal of 5,000
+    digits, past the limit of Python's int parser: ``json.load`` raises a
+    plain ValueError."""
+    text = json.dumps({**json.loads(path.read_text()), key: 0})
+    return text.replace(f'"{key}": 0', f'"{key}": {"9" * 5000}').encode()
+
+
 @pytest.mark.parametrize("command", ["report", "init"])
 def test_deeply_nested_json_gets_its_exit_code(tmp_path, capsys, command):
-    d = tmp_path / "camp"
+    # and a too-long integer literal: either fails inside json.load
+    cfg, d = _config(tmp_path), tmp_path / "camp"
     if command == "report":
-        main(["init", "--config", str(_config(tmp_path)), "--dir", str(d)])
-        (d / "state.json").write_bytes(_DEEP_JSON)
-        assert main(["report", "--dir", str(d)]) == EXIT_IO
-        assert (d / "state.json").read_bytes() == _DEEP_JSON
+        main(["init", "--config", str(cfg), "--dir", str(d)])
+        path, key, code = d / "state.json", "rng_seed", EXIT_IO
+        argv = ["report", "--dir", str(d)]
     else:
-        cfg = tmp_path / "config.json"
-        cfg.write_bytes(_DEEP_JSON)
-        assert main(["init", "--config", str(cfg), "--dir", str(d)]) == EXIT_USAGE
-        assert not (d / "state.json").exists()
-    assert "Traceback" not in capsys.readouterr().err
+        path, key, code = cfg, "seed", EXIT_USAGE
+        argv = ["init", "--config", str(cfg), "--dir", str(d)]
+    for document in (_DEEP_JSON, _with_huge_int(path, key)):
+        path.write_bytes(document)
+        capsys.readouterr()
+        assert main(argv) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert path.read_bytes() == document
+        assert command == "report" or not (d / "state.json").exists()
 
 
 def test_report_on_fresh_external_init(tmp_path, capsys):
@@ -251,9 +263,16 @@ def _nan_k(doc):
 def _as_old_version(version, kind="cei", tol=1e-6, sweeps=200):
     """Edit a current state file into the given older version's layout."""
     def edit(doc):
-        assert doc["version"] == 6 and "doe_n" not in doc
+        assert doc["version"] == 7 and "doe_n" not in doc
         doc["version"] = version
-        doc["budget"]["max_iters_per_restart"] = sweeps
+        if version <= 6:
+            # version 6 refused a NaN here; version 7 never reads the key
+            doc.update(fitted_hyper_k={"lengthscales": [0.5, 0.5, 0.5],
+                                       "signal_variance": float("nan"),
+                                       "noise_std": 0.005},
+                       fitted_hyper_v=None)
+        if version < 6:
+            doc["budget"]["max_iters_per_restart"] = sweeps
         if version < 5:
             doc["doe_n"] = 4
             doc["budget"]["convergence_tol"] = tol
@@ -306,9 +325,9 @@ def _integer_name(doc):
     doc["space"][2]["name"] = 3
 
 
-def _nan_signal_variance(doc):
-    doc["fitted_hyper_k"] = {"lengthscales": [0.5, 0.5, 0.5],
-                             "signal_variance": float("nan"), "noise_std": 0.005}
+def _overflowing_span(doc):
+    # each bound is finite, but upper - lower is inf
+    doc["space"][0].update(lower=-1e308, upper=1e308)
 
 
 def _iter_hand_tag(doc):
@@ -327,7 +346,7 @@ def _huge_mc_samples(doc):
                                      _removed_ucb_kind, _boolean_k, _boolean_v,
                                      _int_tag, _boolean_coordinate,
                                      _huge_int_k, _nan_coordinate, _string_lower,
-                                     _integer_name, _nan_signal_variance,
+                                     _integer_name, _overflowing_span,
                                      _huge_mc_samples, _iter_hand_tag])
 def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     d = _doe_ingested(tmp_path)
@@ -543,6 +562,7 @@ def _huge_raw_samples(cfg):
     (_string_lower, "space[0].lower"),
     (_boolean_upper, "space[1].upper"),
     (_integer_name, "space[2].name"),
+    (_overflowing_span, "space[0]"),
     (_huge_raw_samples, "raw_samples"),
 ])
 def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
@@ -553,11 +573,11 @@ def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
     d = tmp_path / "camp"
     assert main(["init", "--config", str(path), "--dir", str(d)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert field in err and "Traceback" not in err
+    assert field in err and "Traceback" not in err and "Warning" not in err
     assert not (d / "state.json").exists()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
 def test_old_state_version_resumes_like_current(tmp_path, capsys, version):
     current = _doe_ingested(tmp_path)
     old = tmp_path / "camp_old"
@@ -573,6 +593,7 @@ def test_old_state_version_resumes_like_current(tmp_path, capsys, version):
     assert "lhs_midpoint" not in doc and "fitted_standardize_k" not in doc
     assert "doe_n" not in doc and "convergence_tol" not in doc["budget"]
     assert "max_iters_per_restart" not in doc["budget"]
+    assert not any(key.startswith("fitted_hyper_") for key in doc)
 
 
 def test_old_state_with_other_tolerance_is_io_error(tmp_path, capsys):

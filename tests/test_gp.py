@@ -248,6 +248,18 @@ def test_posterior_prior_reversion_far_from_data():
     assert g.std == pytest.approx(0.5 * np.sqrt(2.0), abs=1e-6 * 0.5)
 
 
+@pytest.mark.parametrize("lengthscales, signal_variance", [
+    ([0.5, float("nan")], 1.0), ([0.5, 0.5], float("inf")),
+    ([0.5, 0.0], 1.0), ([0.5, 0.5], -1.0)],
+    ids=["nan_lengthscale", "inf_signal_variance", "zero_lengthscale",
+         "negative_signal_variance"])
+def test_hyperparameters_must_be_finite_and_positive(lengthscales,
+                                                     signal_variance):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        GpHyperparameters(lengthscales=lengthscales,
+                          signal_variance=signal_variance)
+
+
 # ------------------------------------------------------------ joint sampling
 
 
