@@ -33,7 +33,6 @@ from .space import ParameterSpace, count, latin_hypercube, real
 # load_state ignores them and refuses a kind other than "cei" or a budget
 # value other than its constant
 STATE_VERSION = 7
-_READABLE_VERSIONS = tuple(range(1, STATE_VERSION + 1))
 
 # role tags for deriving per-stage substream seeds
 _ROLE_FIT_K = 1
@@ -122,9 +121,9 @@ def fit_models(state: CampaignState,
     """The objective GP and the constraint GP, or None without ``constraint``."""
     X = state.dataset.unit_inputs()
     it = state.iteration
-    mk = fit(X, state.dataset.k_values(), "objective",
+    mk = fit(X, [r.k for r in state.dataset], "objective",
              derive_seed(state.rng_seed, it, _ROLE_FIT_K))
-    mv = fit(X, state.dataset.v_values(), "constraint",
+    mv = fit(X, [r.v for r in state.dataset], "constraint",
              derive_seed(state.rng_seed, it, _ROLE_FIT_V)) if constraint else None
     return mk, mv
 
@@ -216,9 +215,7 @@ def best_so_far(state: CampaignState):
 
 def run_campaign(state: CampaignState, n_iterations: int) -> CampaignState:
     """Run n embedded-mode BO iterations."""
-    if n_iterations < 0:
-        raise ValueError(f"iters must be >= 0, got {n_iterations}")
-    for _ in range(n_iterations):
+    for _ in range(count(n_iterations, "iters")):
         state = step(state)
     return state
 
@@ -235,10 +232,7 @@ def _records_from_json(doc, space: ParameterSpace):
                 x = tuple(real(c, "x") for c in r["x"])
                 space.to_unit(x)                    # its length and bounds
                 if key == "dataset":
-                    if not isinstance(r["tag"], str):
-                        raise ValueError(f"'tag' must be a string, got {r['tag']!r}")
-                    rows.append(Observation(x, real(r["k"], "k"), real(r["v"], "v"),
-                                            r["tag"]))
+                    rows.append(Observation(x, r["k"], r["v"], r["tag"]))
                 elif not isinstance(r["id"], str) or r["id"] in pending:
                     raise ValueError(f"'id' must be a unique string, got {r['id']!r}")
                 else:
@@ -248,7 +242,7 @@ def _records_from_json(doc, space: ParameterSpace):
             except (TypeError, ValueError, BoundsViolationError) as e:
                 raise ValueError(f"{key}[{i}]: {e}") from e
     dataset = Dataset(space=space)
-    dataset.append(*rows)                   # duplicates: DataError names dataset[i]
+    dataset.append(*rows)           # values and duplicates: DataError names dataset[i]
     xs, n = list(pending.values()), len(rows)
     for i, j in enumerate(dataset.repeats(xs)):
         if j is not None:
@@ -297,11 +291,10 @@ def load_state(path: str) -> CampaignState:
         raise StateFileError(f"cannot read state file {path}: {e}") from e
     if not isinstance(doc, dict) or "version" not in doc:
         raise StateFileError(f"{path}: not a campaign state file")
-    if doc["version"] not in _READABLE_VERSIONS:
-        raise StateFileError(
-            f"{path}: unsupported state version {doc['version']} "
-            f"(expected one of {_READABLE_VERSIONS})")
     try:
+        if count(doc["version"], "version", 1) > STATE_VERSION:
+            raise StateFileError(f"{path}: unsupported state version "
+                                 f"{doc['version']} (expected at most {STATE_VERSION})")
         space = ParameterSpace.from_config(doc["space"])
         acq = doc["acq"]
         if doc["version"] < 3:

@@ -8,15 +8,14 @@ simulation pipeline that may complete jobs out of order.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsViolationError, DataError, ProtocolError
-from .space import PRECHAMBER_SPACE, ParameterSpace
+from .errors import DataError, ProtocolError
+from .space import PRECHAMBER_SPACE, ParameterSpace, real
 
 QUADRATIC_SPACE = ParameterSpace.from_bounds(["x1", "x2"], [0.0, 0.0], [1.0, 1.0])
 
@@ -51,12 +50,6 @@ class Dataset:
     def unit_inputs(self) -> np.ndarray:
         return self.space.to_unit(np.array([r.x for r in self.rows]))
 
-    def k_values(self) -> np.ndarray:
-        return np.array([r.k for r in self.rows])
-
-    def v_values(self) -> np.ndarray:
-        return np.array([r.v for r in self.rows])
-
     def repeats(self, xs):
         """For each of the points ``xs``, taken in order after the rows, yield
         the index in rows + xs of the nearest earlier point if it lies closer
@@ -69,20 +62,33 @@ class Dataset:
             yield int(np.argmin(d)) if i and np.min(d) < self.MIN_GAP else None
 
     def append(self, *observations: Observation):
-        """Add a batch of observations, all or nothing. Each needs a finite
-        k and v, coordinates within the bounds, no ``repeats`` match and a
-        tag with a ``stage_label``; DataError names a refused row as
-        ``dataset[i]``, and ``rows`` is left as it was."""
-        matches = self.repeats(obs.x for obs in observations)
-        for i, (obs, j) in enumerate(zip(observations, matches), start=len(self.rows)):
-            if not (math.isfinite(obs.k) and math.isfinite(obs.v)):
-                raise DataError(f"dataset[{i}]: non-finite observation at {obs.x}")
+        """Add a batch of observations, all or nothing. Each row needs ``real``
+        coordinates, k and v, a ``str`` tag with a ``stage_label``, no
+        ``repeats`` match and coordinates in bounds (else BoundsViolationError);
+        DataError names the first other refused row as ``dataset[i]``."""
+        start, refused, typed = len(self.rows), None, observations
+        for i, obs in enumerate(observations, start=start):
+            try:
+                for c in obs.x:
+                    real(c, "x")
+                real(obs.k, "k")
+                real(obs.v, "v")
+                if not isinstance(obs.tag, str):
+                    raise ValueError(f"'tag' must be a string, got {obs.tag!r}")
+            except (TypeError, ValueError) as e:
+                refused, typed = DataError(f"dataset[{i}]: {e}"), typed[:i - start]
+                break
+        # the rows before a mistyped one go on, so the first refused row is named
+        matches = self.repeats(obs.x for obs in typed)
+        for i, (obs, j) in enumerate(zip(typed, matches), start=start):
             if stage_label(obs.tag) is None:
                 raise DataError(f"dataset[{i}]: tag {obs.tag!r} would print as "
                                 f"a program iteration's stage")
             if j is not None:
                 raise DataError(f"dataset[{i}]: duplicate design point {obs.x} "
                                 f"(matches dataset[{j}])")
+        if refused is not None:
+            raise refused
         self.rows = self.rows + list(observations)
 
 
@@ -117,9 +123,7 @@ def benchmark_quadratic(x) -> tuple[float, float]:
 
     With threshold 1.0 the constrained optimum is at (0.5, 0.5), k = -0.08.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,) or np.any(x < 0.0) or np.any(x > 1.0):
-        raise BoundsViolationError("quadratic benchmark needs x in the unit square")
+    x = QUADRATIC_SPACE.to_unit(x)         # the unit square: x unchanged
     k = -((x[0] - 0.7) ** 2) - (x[1] - 0.7) ** 2
     v = x[0] + x[1]
     return float(k), float(v)
@@ -190,11 +194,9 @@ def read_results(path, expected_ids) -> list[tuple[str, float, float]]:
                     raise ProtocolError(f"duplicate result id {pid!r}")
                 seen.add(pid)
                 try:
-                    k, v = float(row[1]), float(row[2])
+                    k, v = real(float(row[1]), "k"), real(float(row[2]), "v_mag")
                 except ValueError as e:
                     raise DataError(f"{path}:{lineno}: {e}") from e
-                if not (math.isfinite(k) and math.isfinite(v)):
-                    raise DataError(f"{path}:{lineno}: non-finite value for id {pid!r}")
                 out.append((pid, k, v))
     except (csv.Error, UnicodeDecodeError) as e:
         raise DataError(f"cannot parse results file {path}: {e}") from e

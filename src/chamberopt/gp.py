@@ -125,15 +125,17 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def standardization_for(raw_targets: np.ndarray, channel: str) -> StandardizationSpec:
+    if channel not in ("objective", "constraint"):
+        raise ValueError(f"unknown channel {channel!r}")
     y = np.asarray(raw_targets, dtype=float)
-    scale = float(np.std(y))
-    if scale <= 0.0:
-        scale = 1.0
-    if channel == "objective":
-        return StandardizationSpec(center=float(np.mean(y)), scale=scale)
-    if channel == "constraint":
-        return StandardizationSpec(center=0.0, scale=scale)
-    raise ValueError(f"unknown channel {channel!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        center, scale = float(np.mean(y)), float(np.std(y))
+    if not np.isfinite([center, scale]).all():
+        raise NumericError(f"the {channel} values overflow when standardized "
+                           f"(mean {center}, std {scale})")
+    # the constraint keeps 0 at 0, and a constant channel scales by 1
+    return StandardizationSpec(center=center if channel == "objective" else 0.0,
+                               scale=scale or 1.0)
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -238,7 +240,11 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
             p0 = np.append(np.full(d, np.log(0.5)), 0.0)
         else:
             p0 = np.append(rng.uniform(np.log(1e-2), np.log(1e1), size=d), 0.0)
-        p, f = minimize_box(objective, p0, lb, ub)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                p, f = minimize_box(objective, p0, lb, ub)
+        except FloatingPointError:      # an overflow fails the restart
+            continue
         lml = -f
         if np.isfinite(lml) and lml > best_lml:
             best_lml, best_p = lml, p

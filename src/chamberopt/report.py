@@ -60,14 +60,14 @@ def emit_slices(state: CampaignState, out_dir: str,
             "no feasible incumbent; run more iterations or inspect "
             "table_batch.csv for infeasible-best diagnostics")
     mk, _ = fit_models(state, constraint=False)
-    u_star = state.space.to_unit(np.asarray(best.x, dtype=float))
 
     paths = []
     for i, dim in enumerate(state.space.dims):
-        U = np.tile(u_star, (resolution, 1))       # numpy refuses a huge grid
+        # numpy refuses a huge grid
+        grid = np.tile(np.asarray(best.x, dtype=float), (resolution, 1))
         coords = np.linspace(dim.lower, dim.upper, resolution)
-        U[:, i] = (coords - dim.lower) / (dim.upper - dim.lower)
-        mean, std = posterior(mk, U)
+        grid[:, i] = coords
+        mean, std = posterior(mk, state.space.to_unit(grid))
         for col, values in (("mean", mean), ("std", std)):
             path = os.path.join(out_dir, f"slice_{dim.name}_{col}.csv")
             with open(path, "w", newline="") as f:

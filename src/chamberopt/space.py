@@ -6,14 +6,15 @@ All optimization-facing code works on the closed unit cube [0, 1]^d; physical
 coordinates appear only at the evaluator boundary and in reports.
 
 Each settings type checks its own fields with two rules when it is built, so
-a file reader only builds the types. An integer (``count``) is a Python
-``int``: JSON true/false load as ``bool``, which Python counts as an int,
-and JSON cannot write back a numpy integer; it is at most ``sys.maxsize``,
-numpy's index range, so a larger count fails at load and not in numpy after
-a full fit. A finite number (``real``) is an ``int`` or ``float``, not a
-``bool``, NaN, +-inf or an int beyond the float range. A dimension's span
-``upper - lower`` must be finite too, or every scaling by it overflows. A
-coordinate is tested as ``lower <= x <= upper``: NaN fails.
+a file reader only builds the types, and ``evaluators.Dataset.append``
+holds each row's coordinates, k and v to ``real``. An integer (``count``)
+is a Python ``int``: JSON true/false load as ``bool``, which Python counts
+as an int, and JSON cannot write back a numpy integer; it is at most
+``sys.maxsize``, numpy's index range, so a larger count fails at load and
+not in numpy after a full fit. A finite number (``real``) is an ``int`` or
+``float``, not a ``bool``, NaN, +-inf or an int beyond the float range. A
+dimension's span ``upper - lower`` must be finite too, or every scaling by
+it overflows. A coordinate is tested as ``lower <= x <= upper``: NaN fails.
 """
 
 from __future__ import annotations
@@ -104,12 +105,11 @@ class ParameterSpace:
         if x.shape[-1] != self.ndim:
             raise ValueError(f"expected {self.ndim} coordinates, got {x.shape[-1]}")
         lo, hi = self.lowers, self.uppers
-        for i, d in enumerate(self.dims):
-            xi = x[..., i]
-            if not np.all((d.lower <= xi) & (xi <= d.upper)):
-                raise BoundsViolationError(
-                    f"dimension {d.name!r}: value outside [{d.lower}, {d.upper}]"
-                )
+        inside = ((lo <= x) & (x <= hi)).reshape(-1, self.ndim).all(axis=0)
+        if not inside.all():
+            d = self.dims[int(np.argmin(inside))]       # the first dimension outside
+            raise BoundsViolationError(
+                f"dimension {d.name!r}: value outside [{d.lower}, {d.upper}]")
         return (x - lo) / (hi - lo)
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
@@ -145,9 +145,7 @@ def unit_latin_hypercube(n: int, dim: int, rng: np.random.Generator) -> np.ndarr
     """Plain permutation LHS of n points in [0, 1)^dim (McKay et al. 1979): each
     dimension's n coordinates occupy the n equal strata of [0, 1) once, with a
     uniform random offset within the stratum. No maximin refinement."""
-    if n < 1:
-        raise ValueError("latin hypercube sample count must be >= 1")
-    u = np.empty((n, dim))
+    u = np.empty((count(n, "n", 1), dim))
     for j in range(dim):
         perm = rng.permutation(n)
         u[:, j] = (perm + rng.uniform(size=n)) / n

@@ -57,6 +57,15 @@ def test_init_rejects_non_integer_seed_and_doe_size(name, value):
         init_campaign(PRECHAMBER_SPACE, _acq(), SMALL_BUDGET, **kwargs)
 
 
+@pytest.mark.parametrize("iters", [True, -1, 1.0])
+def test_run_campaign_refuses_a_non_count(iters):
+    # True == 1 would otherwise run one iteration
+    st = _embedded()
+    with pytest.raises(ValueError, match="iters"):
+        run_campaign(st, iters)
+    assert st.iteration == 0
+
+
 def test_failed_embedded_evaluation_leaves_state(monkeypatch):
     st = _embedded()
     rows = list(st.dataset.rows)

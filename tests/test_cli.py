@@ -402,6 +402,28 @@ def test_out_of_memory_is_numeric_error(tmp_path, capsys, monkeypatch):
     assert (d / "state.json").read_bytes() == before
 
 
+def test_results_that_overflow_when_standardized_are_numeric_error(tmp_path, capsys):
+    # every value is finite, so ingest takes them, but their std overflows
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"space": QUADRATIC_SPACE.to_config(), "doe_n": 4}))
+    d = tmp_path / "camp"
+    assert main(["init", "--config", str(cfg), "--dir", str(d)]) == EXIT_OK
+    proposals = read_proposals(d / "proposals_iter0.csv", QUADRATIC_SPACE)
+    with open(d / "r0.csv", "w") as f:
+        f.write("id,k,v_mag\n")
+        for (pid, _), k in zip(proposals, ["1e300", "-1e300", "1", "2"]):
+            f.write(f"{pid},{k},0.5\n")
+    assert main(["ingest", str(d / "r0.csv"), "--dir", str(d)]) == EXIT_OK
+    before = (d / "state.json").read_bytes()
+    capsys.readouterr()
+    assert main(["propose", "--dir", str(d)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: the objective values overflow")
+    assert "Warning" not in err and "Traceback" not in err
+    assert (d / "state.json").read_bytes() == before
+    assert not (d / "proposals_iter1.csv").exists()
+
+
 def test_init_threshold_defaults_to_the_embedded_evaluator_own(tmp_path, capsys):
     path = _config(tmp_path, "quadratic")
     cfg = json.loads(path.read_text())
@@ -674,6 +696,9 @@ def test_corrupt_pending_entry_is_io_error(tmp_path, capsys, corrupt, field):
     ("propose", "evaluator", "bogus"),
     ("ingest", "iteration", 100),
     pytest.param("propose", "rng_seed", 10**400, id="propose-rng_seed-10**400"),
+    ("report", "version", True),
+    ("report", "version", 1.0),
+    ("report", "version", 7.0),
 ])
 def test_mistyped_state_scalar_is_io_error(tmp_path, capsys, command, field,
                                            value):

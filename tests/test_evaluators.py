@@ -1,15 +1,20 @@
 import copy
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chamberopt.acquisition import AcquisitionConfig
+from chamberopt.campaign import CampaignState, load_state, save_state
 from chamberopt.errors import (BoundsViolationError, DataError, ProtocolError)
 from chamberopt.evaluators import (QUADRATIC_SPACE, Dataset, Observation,
                                    benchmark_quadratic, proposal_ids,
                                    proxy_prechamber, read_proposals,
                                    read_results, stage_label, write_proposals)
+from chamberopt.optim import OptimizerBudget
 from chamberopt.space import PRECHAMBER_SPACE
 
 # frozen 201^3 grid scan of the proxy with v <= 25 (see grid scan in
@@ -73,8 +78,9 @@ def test_quadratic_benchmark_values():
     k, v = benchmark_quadratic([0.7, 0.7])
     assert k == pytest.approx(0.0)
     assert v == pytest.approx(1.4)
-    with pytest.raises(BoundsViolationError):
-        benchmark_quadratic([1.2, 0.5])
+    for x in ([1.2, 0.5], [float("nan"), 0.5]):
+        with pytest.raises(BoundsViolationError):
+            benchmark_quadratic(x)
 
 
 # ------------------------------------------------------------ file protocol
@@ -221,11 +227,17 @@ def test_dataset_rows_are_not_an_init_argument():
                 rows=[Observation((9.0, 0.8, 16.0), 100.0, 20.0)])
 
 
-# unit-square coordinates: grid values, values within and just beyond
-# MIN_GAP of 0.5, and values outside the bounds
-_COORD = st.sampled_from([0.0, 0.5, 1.0, 0.5 + 5e-11, 0.5 + 1e-9,
-                          -0.5, 1.5, float("nan")])
-_VALUE = st.sampled_from([1.0, -2.5, 0.0, float("nan"), float("inf")])
+# unit-square coordinates: grid values and values within and just beyond
+# MIN_GAP of 0.5; then values outside the bounds and values that are not
+# real numbers (a bool, a numpy integer, an int beyond the float range, a
+# string), which a hostile row may also hold
+_NOT_REAL = [True, np.int64(2), 10**400, "0.5"]
+_IN_BOUNDS = st.sampled_from([0.0, 0.5, 1.0, 1, 0.5 + 5e-11, 0.5 + 1e-9])
+_COORD = _IN_BOUNDS | st.sampled_from([-0.5, 1.5, float("nan"), *_NOT_REAL])
+_REAL = st.sampled_from([1.0, -2.5, 0.0, 3])
+_VALUE = _REAL | st.sampled_from([float("nan"), float("inf"), *_NOT_REAL])
+_TAG = st.sampled_from(["manual", "doe", "bo_iter_2"])
+_ANY_TAG = _TAG | st.sampled_from([7, None])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -238,8 +250,10 @@ def test_dataset_append_is_all_or_nothing(existing, data):
     ds.append(*(Observation(x, 1.0, 1.0) for x in existing))
     earlier = existing + [(0.5, 0.5)]
     point = st.one_of(st.sampled_from(earlier), st.tuples(_COORD, _COORD))
-    batch = data.draw(st.lists(st.builds(Observation, point, _VALUE, _VALUE),
-                               min_size=1, max_size=5))
+    valid = st.builds(Observation, st.tuples(_IN_BOUNDS, _IN_BOUNDS), _REAL,
+                      _REAL, _TAG)
+    hostile = st.builds(Observation, point, _VALUE, _VALUE, _ANY_TAG)
+    batch = data.draw(st.lists(valid | hostile, min_size=1, max_size=5))
     # a batch may also repeat one of its own rows
     batch += data.draw(st.lists(st.sampled_from(batch), max_size=2))
     before = list(ds.rows)
@@ -261,3 +275,9 @@ def test_dataset_append_is_all_or_nothing(existing, data):
             assert str(e).startswith(f"dataset[{len(one_by_one)}]: ")
     else:
         assert refused is None and ds.rows == before + batch
+        # every row append accepts is one that a state file keeps
+        state = CampaignState(space=QUADRATIC_SPACE, acq=AcquisitionConfig(),
+                              budget=OptimizerBudget(), dataset=ds, rng_seed=0)
+        with tempfile.TemporaryDirectory() as d:
+            save_state(state, os.path.join(d, "state.json"))
+            assert load_state(os.path.join(d, "state.json")).dataset.rows == ds.rows

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chamberopt import optim
 from chamberopt.acquisition import AcquisitionConfig, qcei_mc
-from chamberopt.errors import NumericError
-from chamberopt.gp import GpHyperparameters, model_from_hyper, posterior
+from chamberopt.errors import DegenerateDataError, NumericError
+from chamberopt.evaluators import Dataset
+from chamberopt.gp import GpHyperparameters, fit, model_from_hyper, posterior
 from chamberopt.optim import OptimizerBudget, propose_batch
 from chamberopt.space import unit_latin_hypercube
 
@@ -373,3 +376,59 @@ def test_one_raw_sample_with_an_incumbent(monkeypatch):
     np.testing.assert_array_equal(stack, _latin_screen(1, 3, 2, seed=5))
     assert batch.shape == (3, 2)
     assert np.all((batch >= 0.0) & (batch <= 1.0))
+
+
+# finite targets across the float64 range, subnormals included
+_TARGET = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _channel(draw, n):
+    """n finite targets: free, constant, or spread over the ulps next to one."""
+    kind = draw(st.sampled_from(["free", "constant", "tiny"]))
+    if kind == "free":
+        return np.array(draw(st.lists(_TARGET, min_size=n, max_size=n)))
+    base = draw(_TARGET)
+    if kind == "constant":
+        return np.full(n, base)
+    steps = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    return np.nextafter(base, np.array(steps) * np.finfo(float).max)
+
+
+@st.composite
+def _training_set(draw):
+    """2-6 distinct unit-square points, some pairs just over MIN_GAP apart,
+    and the two channels' targets."""
+    grid = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+    points = draw(st.lists(st.tuples(grid, grid), min_size=1, max_size=4,
+                           unique=True))
+    for x in draw(st.lists(st.sampled_from(points), max_size=2, unique=True)):
+        points.append((x[0], x[1] + 1.5 * Dataset.MIN_GAP * (1 if x[1] < 1 else -1)))
+    if len(points) < 2:
+        points.append((0.75, 0.75))
+    n = len(points)
+    return np.array(points), draw(_channel(n)), draw(_channel(n))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=_training_set(), threshold=_TARGET)
+def test_fit_and_propose_end_in_a_batch_or_a_documented_error(data, threshold):
+    # the feasible best is the incumbent, as in campaign.step; a numpy
+    # warning fails the example, as filterwarnings = ["error"] makes it raise
+    X, k, v = data
+    config = AcquisitionConfig(constraint_threshold=threshold, mc_samples=16,
+                               batch_size=2)
+    budget = OptimizerBudget(raw_samples=8, restarts=2)
+    feasible = np.flatnonzero(v <= threshold)
+    incumbent = None
+    if feasible.size:
+        i = feasible[np.argmax(k[feasible])]
+        incumbent = (k[i], X[i])
+    try:
+        mk = fit(X, k, "objective", 0)
+        mv = fit(X, v, "constraint", 1)
+        batch = propose_batch(mk, mv, config, budget, 2, incumbent=incumbent)
+    except (NumericError, DegenerateDataError):
+        return
+    assert batch.shape == (2, 2)
+    assert np.all((0.0 <= batch) & (batch <= 1.0))
