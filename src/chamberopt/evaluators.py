@@ -62,19 +62,20 @@ class Dataset:
             yield int(np.argmin(d)) if i and np.min(d) < self.MIN_GAP else None
 
     def append(self, *observations: Observation):
-        """Add a batch of observations, all or nothing. Each row needs ``real``
-        coordinates, k and v, a ``str`` tag with a ``stage_label``, no
-        ``repeats`` match and coordinates in bounds (else BoundsViolationError);
-        DataError names the first other refused row as ``dataset[i]``."""
+        """Add a batch of observations, all or nothing. Each row needs a tuple
+        of ``real`` coordinates in bounds (else BoundsViolationError), a
+        ``real`` k and v, a ``str`` tag with a ``stage_label`` and no ``repeats``
+        match; DataError names the first other refused row as ``dataset[i]``."""
         start, refused, typed = len(self.rows), None, observations
         for i, obs in enumerate(observations, start=start):
             try:
+                if not (isinstance(obs.x, tuple) and isinstance(obs.tag, str)):
+                    raise ValueError(f"'x' must be a tuple and 'tag' a string, "
+                                     f"got {obs.x!r} and {obs.tag!r}")
                 for c in obs.x:
                     real(c, "x")
                 real(obs.k, "k")
                 real(obs.v, "v")
-                if not isinstance(obs.tag, str):
-                    raise ValueError(f"'tag' must be a string, got {obs.tag!r}")
             except (TypeError, ValueError) as e:
                 refused, typed = DataError(f"dataset[{i}]: {e}"), typed[:i - start]
                 break

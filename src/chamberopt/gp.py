@@ -131,8 +131,7 @@ def standardization_for(raw_targets: np.ndarray, channel: str) -> Standardizatio
     with np.errstate(over="ignore", invalid="ignore"):
         center, scale = float(np.mean(y)), float(np.std(y))
     if not np.isfinite([center, scale]).all():
-        raise NumericError(f"the {channel} values overflow when standardized "
-                           f"(mean {center}, std {scale})")
+        raise NumericError(f"the {channel} values overflow when standardized")
     # the constraint keeps 0 at 0, and a constant channel scales by 1
     return StandardizationSpec(center=center if channel == "objective" else 0.0,
                                scale=scale or 1.0)

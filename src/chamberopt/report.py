@@ -63,8 +63,7 @@ def emit_slices(state: CampaignState, out_dir: str,
 
     paths = []
     for i, dim in enumerate(state.space.dims):
-        # numpy refuses a huge grid
-        grid = np.tile(np.asarray(best.x, dtype=float), (resolution, 1))
+        grid = np.tile(np.array(best.x, float), (resolution, 1))  # a huge grid fails here
         coords = np.linspace(dim.lower, dim.upper, resolution)
         grid[:, i] = coords
         mean, std = posterior(mk, state.space.to_unit(grid))

@@ -105,11 +105,12 @@ class ParameterSpace:
         if x.shape[-1] != self.ndim:
             raise ValueError(f"expected {self.ndim} coordinates, got {x.shape[-1]}")
         lo, hi = self.lowers, self.uppers
-        inside = ((lo <= x) & (x <= hi)).reshape(-1, self.ndim).all(axis=0)
-        if not inside.all():
-            d = self.dims[int(np.argmin(inside))]       # the first dimension outside
-            raise BoundsViolationError(
-                f"dimension {d.name!r}: value outside [{d.lower}, {d.upper}]")
+        for i, d in enumerate(self.dims):
+            xi = x[..., i]
+            if not np.all((d.lower <= xi) & (xi <= d.upper)):
+                raise BoundsViolationError(
+                    f"dimension {d.name!r}: value outside [{d.lower}, {d.upper}]"
+                )
         return (x - lo) / (hi - lo)
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:

@@ -249,7 +249,10 @@ def test_dataset_append_is_all_or_nothing(existing, data):
     ds = Dataset(space=QUADRATIC_SPACE)
     ds.append(*(Observation(x, 1.0, 1.0) for x in existing))
     earlier = existing + [(0.5, 0.5)]
-    point = st.one_of(st.sampled_from(earlier), st.tuples(_COORD, _COORD))
+    # a list or an array of coordinates would load back as a tuple
+    listed = st.lists(_IN_BOUNDS, min_size=2, max_size=2)
+    point = st.one_of(st.sampled_from(earlier), st.tuples(_COORD, _COORD), listed,
+                      listed.map(np.array))
     valid = st.builds(Observation, st.tuples(_IN_BOUNDS, _IN_BOUNDS), _REAL,
                       _REAL, _TAG)
     hostile = st.builds(Observation, point, _VALUE, _VALUE, _ANY_TAG)
