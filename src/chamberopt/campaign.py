@@ -155,6 +155,8 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
         raise InvalidStateError("cannot step while proposals are pending")
     if len(state.dataset) < 2:
         raise InvalidStateError("need at least 2 observations before stepping")
+    if state.evaluator == "external" and campaign_dir is None:
+        raise ValueError("external mode needs a campaign directory")
 
     it = state.iteration
     mk, mv = fit_models(state)
@@ -168,8 +170,6 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
     batch = _batch(it + 1, state.space.from_unit(batch_u))
     if state.evaluator != "external":
         return _evaluate(state, batch)
-    if campaign_dir is None:
-        raise ValueError("external mode needs a campaign directory")
     write_proposals(proposals_path(campaign_dir, it + 1), state.space, batch)
     state.pending = batch
     return state

@@ -63,14 +63,16 @@ class Dataset:
 
     def append(self, *observations: Observation):
         """Add a batch of observations, all or nothing. Each row needs a tuple
-        of ``real`` coordinates in bounds (else BoundsViolationError), a
+        of ``ndim`` ``real`` coordinates in bounds (else BoundsViolationError), a
         ``real`` k and v, a ``str`` tag with a ``stage_label`` and no ``repeats``
         match; DataError names the first other refused row as ``dataset[i]``."""
         start, refused, typed = len(self.rows), None, observations
         for i, obs in enumerate(observations, start=start):
             try:
-                if not (isinstance(obs.x, tuple) and isinstance(obs.tag, str)):
-                    raise ValueError(f"'x' must be a tuple and 'tag' a string, "
+                if not (isinstance(obs.x, tuple) and len(obs.x) == self.space.ndim
+                        and isinstance(obs.tag, str)):
+                    raise ValueError(f"'x' must be a tuple of {self.space.ndim} "
+                                     f"coordinates and 'tag' a string, "
                                      f"got {obs.x!r} and {obs.tag!r}")
                 for c in obs.x:
                     real(c, "x")

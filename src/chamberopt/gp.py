@@ -18,10 +18,10 @@ evaluates without building the (d, n, n) derivative tensor. The noise goes
 onto the diagonal of a copy of K, with no identity matrix formed, so one
 ``lml_and_grad`` call at n = 180 holds about four n x n arrays at its peak.
 
-``_chol_with_jitter`` is the one Cholesky routine: it factors the n x n
-training covariance, and the (q, q) posterior covariance of a batch, or of
-each batch in a stack. A stack is a leading axis from the kernel to the
-sampler.
+``_chol_with_jitter`` is the one Cholesky routine, with one rule for the
+n x n training covariance, a batch's (q, q) posterior covariance and a stack
+of them, a leading axis from the kernel to the sampler: only a matrix that
+will not factor, such as a batch holding a point twice, takes jitter.
 """
 
 from __future__ import annotations
@@ -98,30 +98,30 @@ def _plus_diagonal(K: np.ndarray, value: float) -> np.ndarray:
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a matrix, or of each matrix of a stack, and
-    the diagonal jitter it took.
+    the largest diagonal jitter it took.
 
-    K itself is factored first. A single matrix, such as a lone batch's
-    (q, q) posterior covariance, or a stack of one, that fails is factored
-    again as K + jitter * I with escalating jitter, built only then. A stack
-    of several that fails raises ``NumericError`` at once: its caller
-    factors it one matrix at a time, each with its own jitter.
+    K itself is factored first. If a stack fails, each of its matrices is
+    factored alone by this same rule, so the others keep their plain
+    factors. A single matrix that fails is factored again as
+    K + jitter * I with escalating jitter, built only then.
     """
     # numpy factors a NaN matrix into an all-NaN factor instead of raising
     if not np.isfinite(K).all():
         raise NumericError("non-finite covariance matrix")
-    jitter = 0.0
-    while True:
+    try:
+        return np.linalg.cholesky(K), 0.0
+    except np.linalg.LinAlgError:
+        if K.ndim == 3:
+            factors = [_chol_with_jitter(K_i) for K_i in K]
+            return (np.stack([L for L, _ in factors]),
+                    max(jitter for _, jitter in factors))
+    jitter = _JITTER_START
+    while jitter <= _JITTER_MAX:
         try:
-            L = np.linalg.cholesky(K if jitter == 0.0 else _plus_diagonal(K, jitter))
-            return L, jitter
+            return np.linalg.cholesky(_plus_diagonal(K, jitter)), jitter
         except np.linalg.LinAlgError:
-            if K.ndim == 3 and len(K) > 1:
-                raise NumericError("Cholesky factorization failed in a stack") from None
-        jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
-        if jitter > _JITTER_MAX:
-            raise NumericError(
-                f"Cholesky factorization failed with jitter up to {_JITTER_MAX}"
-            )
+            jitter *= 10.0
+    raise NumericError(f"Cholesky factorization failed with jitter up to {_JITTER_MAX}")
 
 
 def standardization_for(raw_targets: np.ndarray, channel: str) -> StandardizationSpec:
@@ -227,13 +227,10 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
     rng = np.random.default_rng(seed)
 
     def objective(p):
-        try:
-            lml, grad = lml_and_grad(X, y, p)
-        except NumericError:
-            return np.inf, np.zeros_like(p)
+        lml, grad = lml_and_grad(X, y, p)
         return -lml, -grad
 
-    best_lml, best_p = -np.inf, None
+    best_lml, best_p, error = -np.inf, None, "no finite likelihood"
     for r in range(_N_RESTARTS):
         if r == 0:
             p0 = np.append(np.full(d, np.log(0.5)), 0.0)
@@ -242,13 +239,15 @@ def fit(inputs: np.ndarray, raw_targets: np.ndarray, channel: str,
         try:
             with np.errstate(over="raise", invalid="raise"):
                 p, f = minimize_box(objective, p0, lb, ub)
-        except FloatingPointError:      # an overflow fails the restart
+        except (NumericError, FloatingPointError) as e:    # fails the restart
+            error = e
             continue
         lml = -f
         if np.isfinite(lml) and lml > best_lml:
             best_lml, best_p = lml, p
     if best_p is None:
-        raise NumericError("all hyperparameter restarts failed")
+        raise NumericError(f"all {_N_RESTARTS} hyperparameter restarts of the "
+                           f"{channel} channel failed: {error}")
 
     hyper = GpHyperparameters(lengthscales=np.exp(best_p[:-1]),
                               signal_variance=float(np.exp(best_p[-1])))

@@ -27,12 +27,12 @@ A move that the box clips back onto its restart's point is not scored.
 ``_SCREEN_CHUNK``: one acquisition call per chunk shares the kernel call,
 the Cholesky factorization and the sampling product among the chunk's
 batches, which makes a candidate at least twice as cheap as scoring it
-alone. ``gp._chol_with_jitter`` factors a chunk in one call and escalates
-jitter only for a lone batch or a stack of one, so a chunk that fails is
-rescored one batch at a time: jitter escalation and the -inf score of a
-failed batch work per batch. Four batches per chunk keep the chunk's draws
-(4 x mc_samples x q doubles of one channel at a time) small next to the
-process's fixed memory.
+alone. A batch whose posterior covariance is singular, such as one holding
+a point twice, is scored in its chunk: ``gp._chol_with_jitter`` gives that
+batch alone its own jitter. A chunk that still fails numerically scores
+-inf, so a proposal never aborts on one. Four batches per chunk keep the
+chunk's draws (4 x mc_samples x q doubles of one channel at a time) small
+next to the process's fixed memory.
 """
 
 from __future__ import annotations
@@ -102,22 +102,17 @@ def _pattern_search(acquisition, x0, f0):
     return x, fx
 
 
-def _score(acquisition, XS):
-    """``acquisition`` of a (q, d) batch or an (R, q, d) stack. A numeric
-    failure scores the batch it hit -inf, not the proposal: a stack that
-    fails is rescored one batch at a time, each with its own jitter."""
-    try:
-        return acquisition(XS)
-    except NumericError:
-        if XS.ndim == 2:
-            return -np.inf
-        return np.array([_score(acquisition, X) for X in XS])
-
-
 def _screen(acquisition, stack):
-    """Scores of an (S, q, d) stack of candidate batches, in stacked chunks."""
-    return np.concatenate([_score(acquisition, stack[i:i + _SCREEN_CHUNK])
-                           for i in range(0, len(stack), _SCREEN_CHUNK)])
+    """Scores of an (S, q, d) stack of candidate batches, one acquisition
+    call per chunk of ``_SCREEN_CHUNK``. A numeric failure scores the chunk
+    it hit -inf, not the proposal."""
+    scores = np.full(len(stack), -np.inf)
+    for i in range(0, len(stack), _SCREEN_CHUNK):
+        try:
+            scores[i:i + _SCREEN_CHUNK] = acquisition(stack[i:i + _SCREEN_CHUNK])
+        except NumericError:
+            pass
+    return scores
 
 
 def propose_batch(model_k: GpModel, model_v: GpModel, config: AcquisitionConfig,

@@ -204,6 +204,22 @@ def test_external_step_then_ingest(tmp_path):
     assert sum(r.tag == "bo_iter_1" for r in st.dataset) == 2
 
 
+def test_external_step_without_directory_refuses_before_fitting(monkeypatch, tmp_path):
+    st = _external(tmp_path)
+    from chamberopt.evaluators import write_proposals
+    write_proposals(tmp_path / "proposals_iter0.csv", st.space, st.pending)
+    _answer(tmp_path / "proposals_iter0.csv", tmp_path / "r0.csv")
+    st = ingest(st, tmp_path / "r0.csv")
+
+    def fit_models(state):
+        raise AssertionError("fitted before the campaign directory was checked")
+
+    monkeypatch.setattr(campaign, "fit_models", fit_models)
+    with pytest.raises(ValueError, match="external mode needs a campaign directory"):
+        step(st)
+    assert not st.awaiting_results
+
+
 def _collided_step(monkeypatch, tmp_path, evaluator):
     """One step whose maximizer returns dataset row 0 and two copies of
     (0.3, 0.3, 0.3); the stepped batch in unit space, and that target."""

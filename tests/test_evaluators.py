@@ -249,10 +249,12 @@ def test_dataset_append_is_all_or_nothing(existing, data):
     ds = Dataset(space=QUADRATIC_SPACE)
     ds.append(*(Observation(x, 1.0, 1.0) for x in existing))
     earlier = existing + [(0.5, 0.5)]
-    # a list or an array of coordinates would load back as a tuple
+    # a list or an array of coordinates would load back as a tuple, and a
+    # 2-D dataset has no place for one or three coordinates
     listed = st.lists(_IN_BOUNDS, min_size=2, max_size=2)
     point = st.one_of(st.sampled_from(earlier), st.tuples(_COORD, _COORD), listed,
-                      listed.map(np.array))
+                      listed.map(np.array), st.tuples(_COORD),
+                      st.tuples(_COORD, _COORD, _COORD))
     valid = st.builds(Observation, st.tuples(_IN_BOUNDS, _IN_BOUNDS), _REAL,
                       _REAL, _TAG)
     hostile = st.builds(Observation, point, _VALUE, _VALUE, _ANY_TAG)

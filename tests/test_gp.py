@@ -89,6 +89,17 @@ def test_fit_constant_targets_recovers_constant_mean():
     assert g.mean == pytest.approx(42.0)
 
 
+def test_failed_fit_names_the_channel_and_the_last_error():
+    # a constant constraint channel keeps its raw scale, and every restart's
+    # likelihood overflows
+    X = np.random.default_rng(1).uniform(size=(6, 2))
+    with pytest.raises(NumericError) as e:
+        fit(X, np.full(6, 7.7e116), "constraint", seed=0)
+    assert str(e.value).startswith(f"all {gp._N_RESTARTS} hyperparameter "
+                                   "restarts of the constraint channel failed: ")
+    assert "overflow" in str(e.value)
+
+
 def test_fit_noise_std_never_changes():
     rng = np.random.default_rng(2)
     X, y = _random_dataset(rng, 15, 3)
@@ -360,13 +371,17 @@ def test_cholesky_of_a_stack():
         np.testing.assert_array_equal(L_i, gp._chol_with_jitter(K_i)[0])
     # rank one less 1e-7 I: factored only with jitter above 1e-7
     indefinite = np.ones((3, 3)) - 1e-7 * np.eye(3)
-    with pytest.raises(NumericError):
-        gp._chol_with_jitter(np.concatenate([stack, indefinite[None]]))
-    L_one, jitter_one = gp._chol_with_jitter(indefinite[None])
     L_alone, jitter_alone = gp._chol_with_jitter(indefinite)
-    assert jitter_one == jitter_alone > 1e-7
-    assert L_one.shape == (1, 3, 3)
-    np.testing.assert_array_equal(L_one[0], L_alone)
+    assert jitter_alone > 1e-7
+    # in a stack of one or of several, the indefinite matrix takes the jitter
+    # it takes alone and the others keep their plain factors
+    for others in (stack[:0], stack):
+        L_mixed, jitter_mixed = gp._chol_with_jitter(
+            np.concatenate([others, indefinite[None]]))
+        assert jitter_mixed == jitter_alone
+        assert L_mixed.shape == (len(others) + 1, 3, 3)
+        np.testing.assert_array_equal(L_mixed[:-1], L[:len(others)])
+        np.testing.assert_array_equal(L_mixed[-1], L_alone)
 
 
 # ------------------------------------------------------------ fit optimizer

@@ -97,7 +97,7 @@ def test_determinism():
     np.testing.assert_array_equal(a, b)
 
 
-def test_numeric_failure_scores_one_candidate(monkeypatch):
+def test_numeric_failure_scores_its_chunk_minus_inf(monkeypatch):
     mk, mv = _planted_models([0.8, 0.3], seed=4)
     real = optim.qcei_mc
 
@@ -189,22 +189,27 @@ def test_budget_validation():
 
 
 def test_singular_batch_in_screen_scores_alone():
-    # a batch holding one point twice has a singular posterior covariance,
-    # so the stacked Cholesky of its chunk may fail and the chunk is then
-    # rescored one batch at a time
+    # a batch holding one point twice has a singular posterior covariance:
+    # its chunk is still scored in one stacked call, and the batch scores as
+    # it does alone
     mk, mv = _planted_models([0.6, 0.4], seed=8)
     rng = np.random.default_rng(9)
     base_k, base_v = rng.standard_normal((512, 5)), rng.standard_normal((512, 5))
+    calls = []
 
     def acquisition(XS):
+        calls.append(XS.shape)
         return optim.qcei_mc(mk, mv, XS, 1.0, 25.0, base_k, base_v)
 
     stack = rng.uniform(size=(2 * optim._SCREEN_CHUNK + 3, 5, 2))
     plain = optim._screen(acquisition, stack)
     singular = stack.copy()
     singular[3, 1] = singular[3, 0]
+    calls.clear()
     scores = optim._screen(acquisition, singular)
-    assert scores[3] == optim._score(acquisition, singular[3])
+    assert calls == [(optim._SCREEN_CHUNK, 5, 2)] * 2 + [(3, 5, 2)]
+    np.testing.assert_allclose(scores[3], acquisition(singular[3]),
+                               rtol=1e-10, atol=0.0)
     others = np.arange(len(stack)) != 3
     np.testing.assert_allclose(scores[others], plain[others], rtol=1e-10, atol=0.0)
 
