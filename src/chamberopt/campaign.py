@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .acquisition import AcquisitionConfig
-from .errors import (BoundsViolationError, DataError, InvalidStateError,
-                     StateFileError)
+from .errors import DataError, InvalidStateError, StateFileError
 from .evaluators import (EVALUATORS, Dataset, Observation, proposal_ids,
                          proposals_path, read_results, stage_label,
                          write_proposals)
@@ -239,7 +238,7 @@ def _records_from_json(doc, space: ParameterSpace):
                     pending[r["id"]] = x
             except KeyError as e:
                 raise ValueError(f"{key}[{i}] has no field {e}: {r!r}") from e
-            except (TypeError, ValueError, BoundsViolationError) as e:
+            except (TypeError, ValueError) as e:
                 raise ValueError(f"{key}[{i}]: {e}") from e
     dataset = Dataset(space=space)
     dataset.append(*rows)           # values and duplicates: DataError names dataset[i]

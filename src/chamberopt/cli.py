@@ -9,9 +9,7 @@ import sys
 
 from . import campaign as camp
 from .acquisition import AcquisitionConfig
-from .errors import (BoundsViolationError, DataError, DegenerateDataError,
-                     InvalidStateError, NumericError, ProtocolError,
-                     StateFileError)
+from .errors import InvalidStateError, NumericError, ProtocolError
 from .evaluators import EVALUATORS, proposals_path, write_proposals
 from .optim import OptimizerBudget
 from .report import DEFAULT_SLICE_RESOLUTION, emit_slices, emit_table
@@ -204,22 +202,22 @@ def main(argv=None) -> int:
         return e.code if e.code is not None else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ProtocolError, DataError) as e:
+    except ProtocolError as e:
         print(f"protocol error: {e}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (NumericError, DegenerateDataError) as e:
+    except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as e:
         print(f"numeric error: out of memory: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (StateFileError, OSError) as e:
+    except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
     except InvalidStateError as e:
         print(f"invalid state: {e}", file=sys.stderr)
         return EXIT_STATE
-    except (BoundsViolationError, ValueError) as e:
+    except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,7 +15,9 @@ import chamberopt
 from chamberopt.campaign import STATE_VERSION, load_state, save_state
 from chamberopt.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_PROTOCOL,
                             EXIT_STATE, EXIT_USAGE, main)
-from chamberopt.errors import StateFileError
+from chamberopt.errors import (BoundsViolationError, DataError,
+                              DegenerateDataError, InvalidStateError,
+                              NumericError, ProtocolError, StateFileError)
 from chamberopt.evaluators import QUADRATIC_SPACE, proxy_prechamber, read_proposals
 from chamberopt.space import PRECHAMBER_SPACE
 
@@ -400,6 +402,28 @@ def test_out_of_memory_is_numeric_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "out of memory" in err and "Traceback" not in err
     assert (d / "state.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ValueError, EXIT_USAGE, "usage error: "),
+    (BoundsViolationError, EXIT_USAGE, "usage error: "),
+    (ProtocolError, EXIT_PROTOCOL, "protocol error: "),
+    (DataError, EXIT_PROTOCOL, "protocol error: "),
+    (NumericError, EXIT_NUMERIC, "numeric error: "),
+    (DegenerateDataError, EXIT_NUMERIC, "numeric error: "),
+    (MemoryError, EXIT_NUMERIC, "numeric error: out of memory: "),
+    (OSError, EXIT_IO, "I/O error: "),
+    (StateFileError, EXIT_IO, "I/O error: "),
+    (InvalidStateError, EXIT_STATE, "invalid state: "),
+])
+def test_each_error_family_has_one_exit_code(tmp_path, capsys, monkeypatch,
+                                             error, code, prefix):
+    def fail(*args, **kwargs):
+        raise error("raised inside the command")
+
+    monkeypatch.setattr(chamberopt.campaign, "load_state", fail)
+    assert main(["report", "--dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err == prefix + "raised inside the command\n"
 
 
 def test_results_that_overflow_when_standardized_are_numeric_error(tmp_path, capsys):
