@@ -226,6 +226,8 @@ def _records_from_json(doc, space: ParameterSpace):
     an error names the record, as ``dataset[i]`` or ``pending[i]``."""
     rows, pending = [], {}
     for key in ("dataset", "pending"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key!r} must be a JSON list, got {doc[key]!r}")
         for i, r in enumerate(doc[key]):
             try:
                 x = tuple(real(c, "x") for c in r["x"])
@@ -279,6 +281,18 @@ def save_state(state: CampaignState, path: str) -> None:
         raise
 
 
+def _section(doc, key: str, cls) -> dict:
+    """A copy of the object ``doc[key]`` that holds every field of the
+    settings type ``cls``: a resume never fills in a default."""
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise ValueError(f"{key!r} must be a JSON object, got {section!r}")
+    missing = [f.name for f in fields(cls) if f.name not in section]
+    if missing:
+        raise ValueError(f"{key!r} has no field(s) {missing}")
+    return dict(section)
+
+
 def load_state(path: str) -> CampaignState:
     # ValueError: bad JSON, bad UTF-8 or an integer past Python's digit limit
     try:
@@ -295,7 +309,7 @@ def load_state(path: str) -> CampaignState:
             raise StateFileError(f"{path}: unsupported state version "
                                  f"{doc['version']} (expected at most {STATE_VERSION})")
         space = ParameterSpace.from_config(doc["space"])
-        acq = doc["acq"]
+        acq = _section(doc, "acq", AcquisitionConfig)
         if doc["version"] < 3:
             if acq["kind"] != "cei":
                 raise StateFileError(
@@ -303,7 +317,7 @@ def load_state(path: str) -> CampaignState:
                     "only constrained EI ('cei') campaigns can be resumed")
             acq = {f.name: acq[f.name] for f in fields(AcquisitionConfig)}
         acq = AcquisitionConfig(**acq)
-        budget = dict(doc["budget"])
+        budget = _section(doc, "budget", OptimizerBudget)
         for key, fixed, since in (("convergence_tol", 1e-6, 5),
                                   ("max_iters_per_restart", 200, 6)):
             value = budget.pop(key, fixed) if doc["version"] < since else fixed

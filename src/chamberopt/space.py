@@ -114,13 +114,17 @@ class ParameterSpace:
         return (x - lo) / (hi - lo)
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
-        """Map unit-cube coordinates back to physical units."""
+        """Map unit-cube coordinates back to physical units, within the
+        bounds: ``lower + 1 * (upper - lower)`` can round one ulp past
+        ``upper`` (-29.55 + 134.681 is 105.13100000000001), which
+        ``to_unit`` would refuse."""
         u = np.asarray(u, dtype=float)
         if u.shape[-1] != self.ndim:
             raise ValueError(f"expected {self.ndim} coordinates, got {u.shape[-1]}")
         if not np.all((0.0 <= u) & (u <= 1.0)):
             raise ValueError("unit coordinates must lie in [0, 1]")
-        return self.lowers + u * (self.uppers - self.lowers)
+        lo, hi = self.lowers, self.uppers
+        return np.clip(lo + u * (hi - lo), lo, hi)
 
     def to_config(self) -> list[dict]:
         return [{"name": d.name, "lower": d.lower, "upper": d.upper} for d in self.dims]

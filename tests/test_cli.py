@@ -448,6 +448,28 @@ def test_results_that_overflow_when_standardized_are_numeric_error(tmp_path, cap
     assert not (d / "proposals_iter1.csv").exists()
 
 
+def test_proposal_at_a_rounding_upper_bound_is_written_at_it(tmp_path, capsys):
+    # lower + 1 * (upper - lower) is 105.13100000000001 here, which ingest
+    # and propose would refuse as outside the bounds on every retry
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "space": [{"name": "x1", "lower": -29.55, "upper": 105.131},
+                  {"name": "x2", "lower": 0, "upper": 1}],
+        "acq": {"batch_size": 2, "mc_samples": 64},
+        "budget": {"raw_samples": 16, "restarts": 2}, "doe_n": 4}))
+    d = tmp_path / "camp"
+    assert main(["init", "--config", str(cfg), "--dir", str(d)]) == EXIT_OK
+    for i in range(4):
+        if i:
+            assert main(["propose", "--dir", str(d)]) == EXIT_OK
+        with open(d / f"proposals_iter{i}.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        (d / f"r{i}.csv").write_text(            # k = x1: the optimum is at the bound
+            "id,k,v_mag\n" + "".join(f"{r[0]},{r[1]},0.5\n" for r in rows))
+        assert main(["ingest", str(d / f"r{i}.csv"), "--dir", str(d)]) == EXIT_OK
+    assert max(obs.x[0] for obs in load_state(d / "state.json").dataset) == 105.131
+
+
 def test_init_threshold_defaults_to_the_embedded_evaluator_own(tmp_path, capsys):
     path = _config(tmp_path, "quadratic")
     cfg = json.loads(path.read_text())
@@ -723,6 +745,18 @@ def test_corrupt_pending_entry_is_io_error(tmp_path, capsys, corrupt, field):
     ("report", "version", True),
     ("report", "version", 1.0),
     ("report", "version", 7.0),
+    # a section holds every field save_state writes: no default is filled in
+    pytest.param("report", "acq", {}, id="report-acq-empty"),
+    pytest.param("propose", "acq", {"constraint_threshold": 25.0},
+                 id="propose-acq-threshold-only"),
+    pytest.param("report", "acq", [], id="report-acq-list"),
+    pytest.param("report", "budget", [], id="report-budget-list"),
+    pytest.param("report", "budget", [["raw_samples", 16], ["restarts", 2]],
+                 id="report-budget-pairs"),
+    pytest.param("propose", "budget", {"restarts": 2},
+                 id="propose-budget-restarts-only"),
+    pytest.param("report", "dataset", {}, id="report-dataset-empty-object"),
+    pytest.param("report", "pending", {}, id="report-pending-empty-object"),
 ])
 def test_mistyped_state_scalar_is_io_error(tmp_path, capsys, command, field,
                                            value):
@@ -736,7 +770,7 @@ def test_mistyped_state_scalar_is_io_error(tmp_path, capsys, command, field,
     capsys.readouterr()
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err
-    assert field in err and "Traceback" not in err
+    assert repr(field) in err and "Traceback" not in err
     assert (d / "state.json").read_bytes() == before
 
 
@@ -753,12 +787,27 @@ _HOSTILE = [float("nan"), float("inf"), float("-inf"), True, "1", None, [], {},
             -1, int("9" * 400)]
 
 
-def _leaves(node, path=()):
-    """The paths to the scalar values of a JSON document."""
+def _nodes(node, path=()):
+    """The paths to the values of a JSON document, whole objects and lists
+    as well as scalars: every node but the root."""
     if not isinstance(node, (dict, list)):
-        return [path]
+        return []
     items = node.items() if isinstance(node, dict) else enumerate(node)
-    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+    return [p for key, value in items
+            for p in [path + (key,)] + _nodes(value, path + (key,))]
+
+
+def _hostile_edit(draw, doc, values):
+    """Delete a node of the JSON document ``doc``, or replace it by one of
+    ``values``, in place."""
+    *path, key = draw(st.sampled_from(_nodes(doc)))
+    owner = doc
+    for step in path:
+        owner = owner[step]
+    if draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = draw(st.sampled_from(values))
 
 
 @pytest.fixture(scope="module")
@@ -779,11 +828,7 @@ def valid_states(tmp_path_factory):
 def test_hostile_state_value_loads_valid_or_is_io_error(tmp_path, capsys,
                                                         valid_states, data):
     doc = copy.deepcopy(data.draw(st.sampled_from(valid_states)))
-    *path, key = data.draw(st.sampled_from(_leaves(doc)))
-    owner = doc
-    for step in path:
-        owner = owner[step]
-    owner[key] = data.draw(st.sampled_from(_HOSTILE))
+    _hostile_edit(data.draw, doc, _HOSTILE)
     state_path = tmp_path / "state.json"
     state_path.write_text(json.dumps(doc))
     before = state_path.read_bytes()
@@ -796,12 +841,64 @@ def test_hostile_state_value_loads_valid_or_is_io_error(tmp_path, capsys,
             assert np.isfinite(x).all()
             state.space.to_unit(x)          # raises outside the bounds
         save_state(state, tmp_path / "back.json")
-        json.dumps(json.loads((tmp_path / "back.json").read_text()), allow_nan=False)
+        back = json.loads((tmp_path / "back.json").read_text())
+        json.dumps(back, allow_nan=False)
+        assert back == doc      # a state loads as it is written or not at all
     capsys.readouterr()
     code = main(["report", "--dir", str(tmp_path)])
     err = capsys.readouterr().err
-    assert code == (EXIT_IO if state is None else EXIT_OK) and "Traceback" not in err
+    # a campaign with no rows yet has no table to report
+    assert code == (EXIT_IO if state is None else
+                    EXIT_STATE if len(state.dataset) == 0 else EXIT_OK)
+    assert "Traceback" not in err
     assert state_path.read_bytes() == before
+
+
+# decimal bounds, the pair whose span rounds past the upper bound, and
+# bounds whose span overflows
+_CONFIG_BOUNDS = st.one_of(st.integers(-10**6, 10**6).map(lambda i: i / 1000),
+                           st.sampled_from([-29.55, 105.131, -1e308, 1e308]))
+
+
+@st.composite
+def _init_configs(draw):
+    """A valid init config on 1-3 generated dimensions with up to two nodes
+    deleted or replaced by a wrong type or value, and maybe an unknown key."""
+    bounds = draw(st.lists(st.tuples(_CONFIG_BOUNDS, _CONFIG_BOUNDS),
+                           min_size=1, max_size=3))
+    cfg = {"space": [{"name": f"x{i}", "lower": min(b), "upper": max(b)}
+                     for i, b in enumerate(bounds)],
+           "acq": {"constraint_threshold": 25.0, "batch_size": 2,
+                   "mc_samples": 64},
+           "budget": {"raw_samples": 16, "restarts": 2},
+           "doe_n": 4, "seed": 3, "evaluator": "external"}
+    for _ in range(draw(st.integers(0, 2))):
+        _hostile_edit(draw, cfg, _HOSTILE + [0, 2, 2**63, "external", "proxy"])
+    if draw(st.integers(0, 3)) == 0:
+        draw(st.sampled_from([n for n in (cfg, cfg.get("acq"), cfg.get("budget"))
+                              if isinstance(n, dict)]))["bogus"] = 1
+    return cfg
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_init_configs())
+def test_generated_init_config_starts_a_campaign_or_is_usage_error(
+        tmp_path, capsys, cfg):
+    path, d = tmp_path / "config.json", tmp_path / "camp"
+    shutil.rmtree(d, ignore_errors=True)
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = main(["init", "--config", str(path), "--dir", str(d)])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert "Traceback" not in err and "Warning" not in err
+    if code == EXIT_USAGE:
+        assert err.startswith("usage error: ") and not d.exists()
+    else:
+        state = load_state(d / "state.json")
+        assert state.space.to_config() == cfg["space"]
+        assert len(state.dataset) + len(state.pending) == cfg.get("doe_n", 10)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chamberopt.errors import BoundsViolationError
@@ -32,6 +34,26 @@ def test_from_unit_midpoint():
 def test_from_unit_corners():
     np.testing.assert_allclose(PRECHAMBER_SPACE.from_unit([0, 0, 0]), [8, 0.75, 15])
     np.testing.assert_allclose(PRECHAMBER_SPACE.from_unit([1, 1, 1]), [12, 1.15, 20])
+
+
+# any finite bound, and decimal bounds such as -29.55, whose spans round
+_BOUND = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-10**6, 10**6).map(lambda i: i / 1000))
+
+
+@given(dims=st.lists(st.tuples(_BOUND, _BOUND, st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))), min_size=1, max_size=4))
+@example(dims=[(-29.55, 105.131, 1.0)])  # -29.55 + 134.681 rounds past 105.131
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_from_unit_lands_within_the_bounds(dims):
+    bounds = [sorted(d[:2]) for d in dims]
+    assume(all(lo < hi and hi - lo <= sys.float_info.max for lo, hi in bounds))
+    space = ParameterSpace.from_bounds([f"x{i}" for i in range(len(dims))],
+                                       *zip(*bounds))
+    x = space.from_unit([d[2] for d in dims])
+    assert np.all((space.lowers <= x) & (x <= space.uppers))
+    u = space.to_unit(x)
+    assert np.all((0.0 <= u) & (u <= 1.0))
 
 
 def test_out_of_bounds_names_dimension():
