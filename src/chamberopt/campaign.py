@@ -25,13 +25,16 @@ from .gp import GpModel, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, count, latin_hypercube, real
 
-# older versions also stored keys that nothing read or that held a constant:
-# "kernel_nu" and "sampler" (1), an acquisition "kind" (1-2), "lhs_midpoint"
-# and "fitted_standardize_k/v" (1-3), "doe_n" and "budget.convergence_tol"
-# (1-4), "budget.max_iters_per_restart" (1-5), "fitted_hyper_k/v" (1-6);
-# load_state ignores them and refuses a kind other than "cei" or a budget
-# value other than its constant
+# older versions also stored top-level keys that nothing reads, which
+# load_state ignores: "kernel_nu" and "sampler" (1), "lhs_midpoint" and
+# "fitted_standardize_k/v" (1-3), "doe_n" (1-4), "fitted_hyper_k/v" (1-6)
 STATE_VERSION = 7
+
+# (section, field, the one value a resume accepts or any, first version
+# without the field): every save_state before that version wrote the field
+_REMOVED_FIELDS = (("acq", "kind", "cei", 3), ("acq", "ucb_beta", any, 3),
+                   ("budget", "convergence_tol", 1e-6, 5),
+                   ("budget", "max_iters_per_restart", 200, 6))
 
 # role tags for deriving per-stage substream seeds
 _ROLE_FIT_K = 1
@@ -281,16 +284,27 @@ def save_state(state: CampaignState, path: str) -> None:
         raise
 
 
-def _section(doc, key: str, cls) -> dict:
-    """A copy of the object ``doc[key]`` that holds every field of the
-    settings type ``cls``: a resume never fills in a default."""
+def _section(doc, key: str, cls):
+    """The settings ``cls`` in the object ``doc[key]``, which holds exactly
+    the fields its version wrote: those of ``cls`` and the ``_REMOVED_FIELDS``
+    removed after that version, each at its accepted value. A resume fills in
+    no default."""
     section = doc[key]
     if not isinstance(section, dict):
         raise ValueError(f"{key!r} must be a JSON object, got {section!r}")
-    missing = [f.name for f in fields(cls) if f.name not in section]
-    if missing:
-        raise ValueError(f"{key!r} has no field(s) {missing}")
-    return dict(section)
+    removed = {name: value for where, name, value, since in _REMOVED_FIELDS
+               if where == key and doc["version"] < since}
+    names = [f.name for f in fields(cls)] + list(removed)
+    missing = [name for name in names if name not in section]
+    unknown = [name for name in section if name not in names]
+    if missing or unknown:
+        raise ValueError(f"{key!r} has no field(s) {missing}" if missing
+                         else f"{key!r} has unknown field(s) {unknown}")
+    for name, value in removed.items():
+        if value is not any and section[name] != value:
+            raise ValueError(f"{key}.{name} {section[name]!r} has been removed; "
+                             f"only campaigns with {value!r} can be resumed")
+    return cls(**{name: v for name, v in section.items() if name not in removed})
 
 
 def load_state(path: str) -> CampaignState:
@@ -310,22 +324,7 @@ def load_state(path: str) -> CampaignState:
                                  f"{doc['version']} (expected at most {STATE_VERSION})")
         space = ParameterSpace.from_config(doc["space"])
         acq = _section(doc, "acq", AcquisitionConfig)
-        if doc["version"] < 3:
-            if acq["kind"] != "cei":
-                raise StateFileError(
-                    f"{path}: acquisition kind {acq['kind']!r} has been removed; "
-                    "only constrained EI ('cei') campaigns can be resumed")
-            acq = {f.name: acq[f.name] for f in fields(AcquisitionConfig)}
-        acq = AcquisitionConfig(**acq)
         budget = _section(doc, "budget", OptimizerBudget)
-        for key, fixed, since in (("convergence_tol", 1e-6, 5),
-                                  ("max_iters_per_restart", 200, 6)):
-            value = budget.pop(key, fixed) if doc["version"] < since else fixed
-            if value != fixed:
-                raise StateFileError(
-                    f"{path}: budget.{key} {value!r} has been removed; "
-                    f"only campaigns with the fixed {fixed} can be resumed")
-        budget = OptimizerBudget(**budget)
         dataset, pending = _records_from_json(doc, space)
         state = CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,

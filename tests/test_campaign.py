@@ -368,12 +368,23 @@ def test_load_version_mismatch(tmp_path):
         load_state(path)
 
 
-def test_save_is_atomic(tmp_path):
+def test_save_is_atomic(tmp_path, monkeypatch):
     st = _embedded()
     path = tmp_path / "state.json"
     save_state(st, path)
     save_state(run_campaign(st, 1), path)
     load_state(path)            # still parseable, no partial writes
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".state-")]
+    # a save that fails before the rename leaves the file and no temp file
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        save_state(run_campaign(st, 1), path)
+    assert path.read_bytes() == before
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".state-")]
 
 

@@ -389,6 +389,45 @@ def test_ingest_refuses_a_batch_that_repeats_a_row(tmp_path, capsys):
             assert (d / "state.json").read_bytes() == before
 
 
+def _no_state(d):
+    (d / "state.json").unlink()
+
+
+def _pending_batch(d):
+    assert main(["propose", "--dir", str(d)]) == EXIT_OK
+
+
+def _proposals_path_is_a_directory(d):
+    (d / "proposals_iter1.csv").mkdir()
+
+
+def _one_row(d):
+    _edit_state(d, lambda doc: doc.update(dataset=doc["dataset"][:1]))
+
+
+@pytest.mark.parametrize("command, prepare, code, message", [
+    ("propose", _no_state, EXIT_IO, "cannot read state file"),
+    ("ingest", _pending_batch, EXIT_PROTOCOL, "cannot read results file"),
+    ("propose", _proposals_path_is_a_directory, EXIT_IO,
+     "cannot write proposals file"),
+    ("propose", _one_row, EXIT_STATE, "need at least 2 observations"),
+], ids=["propose-no-state", "ingest-no-results", "propose-proposals-dir",
+        "propose-one-row"])
+def test_failed_command_prints_one_line_and_keeps_the_state(
+        tmp_path, capsys, command, prepare, code, message):
+    d = _doe_ingested(tmp_path)
+    prepare(d)
+    before = {p: p.read_bytes() for p in d.iterdir() if p.is_file()}
+    argv = [command, "--dir", str(d)]
+    if command == "ingest":
+        argv.insert(1, str(d / "no_results.csv"))
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err
+    assert {p: p.read_bytes() for p in d.iterdir() if p.is_file()} == before
+
+
 def test_out_of_memory_is_numeric_error(tmp_path, capsys, monkeypatch):
     d = _doe_ingested(tmp_path)
     before = (d / "state.json").read_bytes()
@@ -687,6 +726,31 @@ def test_version_5_state_resumes_only_at_the_fixed_sweep_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "budget.max_iters_per_restart" in err and "Traceback" not in err
     assert (current / "state.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("version, section, field", [
+    (2, "acq", "foo"),                          # an extra field
+    (2, "acq", "ucb_beta"),                     # a field that version wrote
+    (4, "budget", "convergence_tol"),
+    (5, "budget", "max_iters_per_restart"),
+    (7, "acq", "foo"),
+])
+def test_old_section_holds_exactly_the_fields_its_version_wrote(
+        tmp_path, capsys, version, section, field):
+    # the field is deleted if that version wrote it, else added
+    def edit(doc):
+        _as_old_version(version)(doc)
+        if doc[section].pop(field, None) is None:
+            doc[section][field] = 1.0
+
+    d = _doe_ingested(tmp_path)
+    before = _edit_state(d, edit)
+    capsys.readouterr()
+    assert main(["propose", "--dir", str(d)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert repr(section) in err and repr(field) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (d / "state.json").read_bytes() == before
 
 
 def _int_id(doc):

@@ -382,6 +382,12 @@ def test_cholesky_of_a_stack():
         assert L_mixed.shape == (len(others) + 1, 3, 3)
         np.testing.assert_array_equal(L_mixed[:-1], L[:len(others)])
         np.testing.assert_array_equal(L_mixed[-1], L_alone)
+    # eigenvalues 3 and -1: no jitter up to the cap makes it definite, alone
+    # or in a stack
+    negative = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for M in (negative, np.stack([np.eye(2), negative])):
+        with pytest.raises(NumericError, match="failed with jitter up to 0.0001"):
+            gp._chol_with_jitter(M)
 
 
 # ------------------------------------------------------------ fit optimizer
