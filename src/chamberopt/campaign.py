@@ -2,8 +2,8 @@
 
 A campaign alternates fit -> propose -> evaluate/ingest -> update. Embedded
 mode evaluates proposals with a built-in function; external mode writes
-proposal CSVs and waits for result CSVs (ask-tell). State is stored as
-versioned JSON, written atomically.
+proposal CSVs and waits for result CSVs (ask-tell). The dataset is the one
+record of progress. State is stored as versioned JSON, written atomically.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .gp import GpModel, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, count, latin_hypercube, real
 
-# older versions also stored top-level keys that nothing reads, which
-# load_state ignores: "kernel_nu" and "sampler" (1), "lhs_midpoint" and
-# "fitted_standardize_k/v" (1-3), "doe_n" (1-4), "fitted_hyper_k/v" (1-6)
-STATE_VERSION = 7
+# older versions also stored top-level keys that load_state ignores:
+# "kernel_nu", "sampler" (1), "lhs_midpoint", "fitted_standardize_k/v" (1-3),
+# "doe_n" (1-4), "fitted_hyper_k/v" (1-6) and "iteration" (1-7)
+STATE_VERSION = 8
 
 # (section, field, the one value a resume accepts or any, first version
 # without the field): every save_state before that version wrote the field
@@ -52,22 +52,18 @@ def derive_seed(rng_seed: int, iteration: int, role: int) -> int:
 
 @dataclass
 class CampaignState:
+    """Settings, dataset and pending (id, x) proposals. ``iteration`` is read
+    from the dataset, so a dataset prefix is the state before an iteration."""
     space: ParameterSpace
     acq: AcquisitionConfig
     budget: OptimizerBudget
     dataset: Dataset
     rng_seed: int
     evaluator: str = "external"        # external | proxy | quadratic
-    iteration: int = 0                 # completed BO iterations
     pending: list[tuple[str, tuple[float, ...]]] = field(default_factory=list)
 
     def __post_init__(self):
         count(self.rng_seed, "rng_seed")
-        count(self.iteration, "iteration")
-        # each completed iteration appended at least one row
-        if self.iteration > len(self.dataset):
-            raise ValueError(f"'iteration' {self.iteration} exceeds the "
-                             f"{len(self.dataset)} rows of the dataset")
         if self.evaluator not in ("external", *EVALUATORS):
             raise ValueError(f"'evaluator' must be 'external' or one of "
                              f"{sorted(EVALUATORS)}, got {self.evaluator!r}")
@@ -76,17 +72,22 @@ class CampaignState:
     def awaiting_results(self) -> bool:
         return len(self.pending) > 0
 
+    @property
+    def iteration(self) -> int:
+        """Completed BO iterations: the stages (runs of consecutive rows with
+        one tag, as ``best_so_far`` groups them) tagged ``bo_iter_<n>``. Each
+        version 1-7 state file the program wrote stored it as "iteration"."""
+        return sum(tag.startswith("bo_iter_") for tag, _ in
+                   itertools.groupby(obs.tag for obs in self.dataset))
+
 
 def _append_batch(state: CampaignState, batch, rows) -> CampaignState:
     """Append the (id, k, v) ``rows`` of the (id, x) proposals ``batch`` as
     one stage, all or nothing: a refused row leaves the state untouched."""
     x_of = dict(batch)
-    is_doe = state.iteration == 0 and len(state.dataset) == 0
-    tag = "doe" if is_doe else f"bo_iter_{state.iteration + 1}"
+    tag = f"bo_iter_{state.iteration + 1}" if len(state.dataset) else "doe"
     state.dataset.append(*(Observation(x_of[pid], k, v, tag) for pid, k, v in rows))
     state.pending = []
-    if not is_doe:
-        state.iteration += 1
     return state
 
 
@@ -262,7 +263,6 @@ def save_state(state: CampaignState, path: str) -> None:
         "version": STATE_VERSION,
         "evaluator": state.evaluator,
         "rng_seed": state.rng_seed,
-        "iteration": state.iteration,
         "space": state.space.to_config(),
         "acq": asdict(state.acq),
         "budget": asdict(state.budget),
@@ -273,7 +273,7 @@ def save_state(state: CampaignState, path: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".state-", suffix=".json")
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=1)
             f.flush()
             os.fsync(f.fileno())
@@ -310,7 +310,7 @@ def _section(doc, key: str, cls):
 def load_state(path: str) -> CampaignState:
     # ValueError: bad JSON, bad UTF-8 or an integer past Python's digit limit
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             doc = json.load(f)
     except (ValueError, RecursionError) as e:
         raise StateFileError(f"corrupt state file {path}: {e}") from e
@@ -328,8 +328,7 @@ def load_state(path: str) -> CampaignState:
         dataset, pending = _records_from_json(doc, space)
         state = CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,
-            rng_seed=doc["rng_seed"], evaluator=doc["evaluator"],
-            iteration=doc["iteration"], pending=pending)
+            rng_seed=doc["rng_seed"], evaluator=doc["evaluator"], pending=pending)
     except (KeyError, TypeError, ValueError, DataError) as e:
         raise StateFileError(f"{path}: malformed state file: {e}") from e
     return state

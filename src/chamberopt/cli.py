@@ -107,7 +107,7 @@ def _config_section(cfg: dict, key: str, cls):
 
 def _cmd_init(args):
     state_path = _new_state_path(args.dir)
-    with open(args.config) as f:
+    with open(args.config, encoding="utf-8-sig") as f:
         try:
             cfg = json.load(f)
         except RecursionError as e:

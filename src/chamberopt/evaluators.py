@@ -155,7 +155,7 @@ def write_proposals(path, space: ParameterSpace, batch) -> None:
         raise ValueError("empty proposal batch")
     space.to_unit([x for _, x in batch])        # bounds check
     try:
-        with open(path, "w", newline="") as f:
+        with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
             w.writerow(["id"] + space.names)
             for pid, x in batch:
@@ -165,7 +165,7 @@ def write_proposals(path, space: ParameterSpace, batch) -> None:
 
 
 def read_proposals(path, space: ParameterSpace) -> list[tuple[str, np.ndarray]]:
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["id"] + space.names:
@@ -176,7 +176,7 @@ def read_proposals(path, space: ParameterSpace) -> list[tuple[str, np.ndarray]]:
 def read_results(path, expected_ids) -> list[tuple[str, float, float]]:
     """Parse a results CSV (header id,k,v_mag) and match ids exactly."""
     try:
-        f = open(path, newline="")
+        f = open(path, newline="", encoding="utf-8-sig")
     except OSError as e:
         raise ProtocolError(f"cannot read results file {path}: {e}") from e
     try:

@@ -28,7 +28,8 @@ def emit_table(state: CampaignState, out_dir: str) -> str:
     header = ["stage", "k", "v_mag"] + state.space.names
     _, trace = best_so_far(state)
     for name, view in (("table.csv", "cumulative"), ("table_batch.csv", "batch")):
-        with open(os.path.join(out_dir, name), "w", newline="") as f:
+        with open(os.path.join(out_dir, name), "w", newline="",
+                  encoding="utf-8") as f:
             w = csv.writer(f)
             w.writerow(header)
             for entry in trace:
@@ -69,7 +70,7 @@ def emit_slices(state: CampaignState, out_dir: str,
         mean, std = posterior(mk, state.space.to_unit(grid))
         for col, values in (("mean", mean), ("std", std)):
             path = os.path.join(out_dir, f"slice_{dim.name}_{col}.csv")
-            with open(path, "w", newline="") as f:
+            with open(path, "w", newline="", encoding="utf-8") as f:
                 w = csv.writer(f)
                 w.writerow([dim.name, f"k_{col}"])
                 for c, v in zip(coords, values):
@@ -77,7 +78,7 @@ def emit_slices(state: CampaignState, out_dir: str,
             paths.append(path)
 
     markers = os.path.join(out_dir, "slice_markers.csv")
-    with open(markers, "w", newline="") as f:
+    with open(markers, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["kind"] + state.space.names + ["k"])
         for obs in state.dataset:

@@ -11,7 +11,8 @@ from chamberopt.campaign import (CampaignState, best_so_far, derive_seed,
                                  ingest, init_campaign, load_state,
                                  run_campaign, save_state, step)
 from chamberopt.errors import DataError, InvalidStateError, StateFileError
-from chamberopt.evaluators import EVALUATORS, proxy_prechamber, read_proposals
+from chamberopt.evaluators import (EVALUATORS, Observation, proxy_prechamber,
+                                   read_proposals, write_proposals)
 from chamberopt.optim import OptimizerBudget
 from chamberopt.space import PRECHAMBER_SPACE
 
@@ -202,6 +203,31 @@ def test_external_step_then_ingest(tmp_path):
     assert st.iteration == 1
     assert len(st.dataset) == 4 + 2
     assert sum(r.tag == "bo_iter_1" for r in st.dataset) == 2
+
+
+def test_iteration_counts_the_bo_iter_stages(tmp_path):
+    # a hand row with its own tag is no iteration; one tagged bo_iter_<n> is
+    # one, as the tables print it, and the program's next batch follows it
+    st = _external(tmp_path)
+    write_proposals(tmp_path / "proposals_iter0.csv", st.space, st.pending)
+    for i in range(3):
+        if i:
+            st = step(st, campaign_dir=str(tmp_path))
+        _answer(tmp_path / f"proposals_iter{i}.csv", tmp_path / f"r{i}.csv")
+        st = ingest(st, tmp_path / f"r{i}.csv")
+    assert st.iteration == 2
+    u = [[0.11, 0.22, 0.33], [0.44, 0.55, 0.66]]
+    for x, tag, iteration in zip(PRECHAMBER_SPACE.from_unit(u),
+                                 ["manual", "bo_iter_3"], [2, 3]):
+        st.dataset.append(Observation(tuple(x.tolist()), *proxy_prechamber(x), tag))
+        assert st.iteration == iteration
+    st = step(st, campaign_dir=str(tmp_path))
+    assert [pid for pid, _ in st.pending] == ["iter4_0", "iter4_1"]
+    _answer(tmp_path / "proposals_iter4.csv", tmp_path / "r4.csv")
+    st = ingest(st, tmp_path / "r4.csv")
+    assert [obs.tag for obs in st.dataset.rows[-4:]] == [
+        "manual", "bo_iter_3", "bo_iter_4", "bo_iter_4"]
+    assert st.iteration == 4
 
 
 def test_external_step_without_directory_refuses_before_fitting(monkeypatch, tmp_path):

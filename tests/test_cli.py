@@ -1,7 +1,9 @@
 import copy
 import csv
+import dataclasses
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,13 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chamberopt
-from chamberopt.campaign import STATE_VERSION, load_state, save_state
+from chamberopt.campaign import STATE_VERSION, load_state, save_state, step
 from chamberopt.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_PROTOCOL,
                             EXIT_STATE, EXIT_USAGE, main)
 from chamberopt.errors import (BoundsViolationError, DataError,
                               DegenerateDataError, InvalidStateError,
                               NumericError, ProtocolError, StateFileError)
-from chamberopt.evaluators import QUADRATIC_SPACE, proxy_prechamber, read_proposals
+from chamberopt.evaluators import (QUADRATIC_SPACE, Dataset, proxy_prechamber,
+                                   read_proposals)
 from chamberopt.space import PRECHAMBER_SPACE
 
 FAST = ["--raw-samples", "16", "--restarts", "2", "--mc-samples", "128"]
@@ -122,34 +125,81 @@ def _config(tmp_path, evaluator="external"):
     return p
 
 
-def _answer(ppath, rpath):
+def _answer(ppath, rpath, seed=None, bom=""):
+    """Write the proxy's results for a proposals file, shuffled by ``seed``
+    if given, after the text ``bom``."""
     rows = read_proposals(ppath, PRECHAMBER_SPACE)
-    with open(rpath, "w") as f:
-        f.write("id,k,v_mag\n")
+    if seed is not None:
+        random.Random(seed).shuffle(rows)
+    with open(rpath, "w", encoding="utf-8") as f:
+        f.write(bom + "id,k,v_mag\n")
         for pid, x in rows:
             k, v = proxy_prechamber(x)
             f.write(f"{pid},{k:.17g},{v:.17g}\n")
 
 
 def test_external_workflow_init_propose_ingest(tmp_path, capsys):
-    cfg = _config(tmp_path)
-    d = tmp_path / "camp"
-    assert main(["init", "--config", str(cfg), "--dir", str(d)]) == EXIT_OK
-    assert (d / "proposals_iter0.csv").exists()
+    # the second campaign's config and results files start with a UTF-8
+    # byte-order mark, as Excel and PowerShell write them
+    states = []
+    for bom in ("", "\ufeff"):
+        cfg = _config(tmp_path)
+        cfg.write_text(bom + cfg.read_text(), encoding="utf-8")
+        d = tmp_path / f"camp{len(bom)}"
+        assert main(["init", "--config", str(cfg), "--dir", str(d)]) == EXIT_OK
+        assert (d / "proposals_iter0.csv").exists()
 
-    _answer(d / "proposals_iter0.csv", d / "r0.csv")
-    assert main(["ingest", str(d / "r0.csv"), "--dir", str(d)]) == EXIT_OK
-    st = load_state(d / "state.json")
-    assert len(st.dataset) == 4 and st.iteration == 0
+        _answer(d / "proposals_iter0.csv", d / "r0.csv", bom=bom)
+        assert main(["ingest", str(d / "r0.csv"), "--dir", str(d)]) == EXIT_OK
+        st = load_state(d / "state.json")
+        assert len(st.dataset) == 4 and st.iteration == 0
 
-    assert main(["propose", "--dir", str(d)]) == EXIT_OK
-    assert (d / "proposals_iter1.csv").exists()
-    _answer(d / "proposals_iter1.csv", d / "r1.csv")
-    assert main(["ingest", str(d / "r1.csv"), "--dir", str(d)]) == EXIT_OK
-    st = load_state(d / "state.json")
-    assert len(st.dataset) == 6 and st.iteration == 1
+        assert main(["propose", "--dir", str(d)]) == EXIT_OK
+        assert (d / "proposals_iter1.csv").exists()
+        _answer(d / "proposals_iter1.csv", d / "r1.csv", bom=bom)
+        assert main(["ingest", str(d / "r1.csv"), "--dir", str(d)]) == EXIT_OK
+        st = load_state(d / "state.json")
+        assert len(st.dataset) == 6 and st.iteration == 1
 
-    assert main(["report", "--dir", str(d)]) == EXIT_OK
+        assert main(["report", "--dir", str(d)]) == EXIT_OK
+        states.append((d / "state.json").read_bytes())
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("mode", ["embedded", "asktell"])
+def test_every_iteration_rederives_from_its_dataset_prefix(tmp_path, capsys,
+                                                           mode):
+    # the rows before an iteration's first row are the state it started
+    # from: a step from them proposes that iteration's rows again
+    d, again = tmp_path / "camp", tmp_path / "again"
+    again.mkdir()
+    if mode == "embedded":
+        assert main(_run_args(d, ["--iters", "4"])) == EXIT_OK
+    else:
+        assert main(["init", "--config", str(_config(tmp_path)),
+                     "--dir", str(d)]) == EXIT_OK
+        for i in range(5):
+            if i:
+                assert main(["propose", "--dir", str(d)]) == EXIT_OK
+            _answer(d / f"proposals_iter{i}.csv", d / f"r{i}.csv", seed=i)
+            assert main(["ingest", str(d / f"r{i}.csv"), "--dir", str(d)]) == EXIT_OK
+    state = load_state(d / "state.json")
+    tags = [obs.tag for obs in state.dataset]
+    assert state.iteration == 4
+    for i in range(1, 5):
+        start = tags.index(f"bo_iter_{i}")
+        prefix = Dataset(space=state.space)
+        prefix.append(*state.dataset.rows[:start])
+        before = dataclasses.replace(state, dataset=prefix)
+        assert before.iteration == i - 1
+        after = step(before, campaign_dir=str(again))
+        xs = ([obs.x for obs in after.dataset.rows[start:]] if mode == "embedded"
+              else [x for _, x in after.pending])
+        assert sorted(xs) == sorted(obs.x for obs in state.dataset
+                                    if obs.tag == f"bo_iter_{i}")
+        if mode == "asktell":
+            assert ((again / f"proposals_iter{i}.csv").read_bytes()
+                    == (d / f"proposals_iter{i}.csv").read_bytes())
 
 
 @pytest.mark.parametrize("content", [
@@ -265,8 +315,11 @@ def _nan_k(doc):
 def _as_old_version(version, kind="cei", tol=1e-6, sweeps=200):
     """Edit a current state file into the given older version's layout."""
     def edit(doc):
-        assert doc["version"] == 7 and "doe_n" not in doc
+        assert doc["version"] == 8 and "iteration" not in doc
         doc["version"] = version
+        # versions 1-7 stored the count of bo_iter_ stages
+        doc["iteration"] = len({r["tag"] for r in doc["dataset"]
+                                if r["tag"].startswith("bo_iter_")})
         if version <= 6:
             # version 6 refused a NaN here; version 7 never reads the key
             doc.update(fitted_hyper_k={"lengthscales": [0.5, 0.5, 0.5],
@@ -684,19 +737,28 @@ def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
     assert not (d / "state.json").exists()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 6, 7])
 def test_old_state_version_resumes_like_current(tmp_path, capsys, version):
+    # a state past its first iteration
     current = _doe_ingested(tmp_path)
+    assert main(["propose", "--dir", str(current)]) == EXIT_OK
+    _answer(current / "proposals_iter1.csv", current / "r1.csv")
+    assert main(["ingest", str(current / "r1.csv"),
+                 "--dir", str(current)]) == EXIT_OK
     old = tmp_path / "camp_old"
     shutil.copytree(current, old)
     _edit_state(old, _as_old_version(version))
-    assert len(load_state(old / "state.json").dataset) == 4
+    assert json.loads((old / "state.json").read_text())["iteration"] == 1
+    state = load_state(old / "state.json")
+    assert len(state.dataset) == 6 and state.iteration == 1
     for d in (old, current):
         assert main(["propose", "--dir", str(d)]) == EXIT_OK
-    assert ((old / "proposals_iter1.csv").read_bytes()
-            == (current / "proposals_iter1.csv").read_bytes())
+    assert ((old / "proposals_iter2.csv").read_bytes()
+            == (current / "proposals_iter2.csv").read_bytes())
     doc = json.loads((old / "state.json").read_text())
+    assert doc == json.loads((current / "state.json").read_text())
     assert doc["version"] == STATE_VERSION and "kind" not in doc["acq"]
+    assert "iteration" not in doc
     assert "lhs_midpoint" not in doc and "fitted_standardize_k" not in doc
     assert "doe_n" not in doc and "convergence_tol" not in doc["budget"]
     assert "max_iters_per_restart" not in doc["budget"]
@@ -793,18 +855,13 @@ def test_corrupt_pending_entry_is_io_error(tmp_path, capsys, corrupt, field):
 
 
 @pytest.mark.parametrize("command, field, value", [
-    ("ingest", "iteration", "x"),
-    ("ingest", "iteration", -1),
-    ("ingest", "iteration", True),
-    ("ingest", "iteration", 1.0),
     ("propose", "rng_seed", "s"),
     ("propose", "rng_seed", -3),
     ("propose", "rng_seed", False),
     ("propose", "rng_seed", None),
     ("propose", "evaluator", 7),
-    ("propose", "evaluator", ["proxy"]),
+    pytest.param("propose", "evaluator", ["proxy"], id="propose-evaluator-value9"),
     ("propose", "evaluator", "bogus"),
-    ("ingest", "iteration", 100),
     pytest.param("propose", "rng_seed", 10**400, id="propose-rng_seed-10**400"),
     ("report", "version", True),
     ("report", "version", 1.0),
@@ -825,14 +882,9 @@ def test_corrupt_pending_entry_is_io_error(tmp_path, capsys, corrupt, field):
 def test_mistyped_state_scalar_is_io_error(tmp_path, capsys, command, field,
                                            value):
     d = _doe_ingested(tmp_path)
-    argv = [command, "--dir", str(d)]
-    if command == "ingest":
-        assert main(["propose", "--dir", str(d)]) == EXIT_OK
-        _answer(d / "proposals_iter1.csv", d / "r1.csv")
-        argv.insert(1, str(d / "r1.csv"))
     before = _edit_state(d, lambda doc: doc.update({field: value}))
     capsys.readouterr()
-    assert main(argv) == EXIT_IO
+    assert main([command, "--dir", str(d)]) == EXIT_IO
     err = capsys.readouterr().err
     assert repr(field) in err and "Traceback" not in err
     assert (d / "state.json").read_bytes() == before

@@ -184,6 +184,14 @@ def test_read_results_bad_header(tmp_path):
         read_results(path, [])
 
 
+def test_read_proposals_bad_header(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("id,d_bottle,d_bore\n")
+    with pytest.raises(ProtocolError, match=r"^unexpected proposals header in "
+                       r".*p\.csv: \['id', 'd_bottle', 'd_bore'\]$"):
+        read_proposals(path, PRECHAMBER_SPACE)
+
+
 def test_read_results_out_of_order_ok(tmp_path):
     path = tmp_path / "r.csv"
     _write_results(path, [("iter1_1", 2.0, 2.0), ("iter1_0", 1.0, 2.0)])

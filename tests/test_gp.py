@@ -285,6 +285,30 @@ def _normals(seed, n, q):
     return np.random.default_rng(seed).standard_normal((n, q))
 
 
+def _toy(shape, q):
+    """Draws from a toy model at zeros of ``shape`` with q base normals."""
+    model, _ = _toy_model(np.random.default_rng(0))
+    return joint_posterior_samples(model, np.zeros(shape), _normals(0, 4, q))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gp.StandardizationSpec(center=0.0, scale=0.0),
+     "standardization scale must be positive"),
+    (lambda: gp.PosteriorGaussian(mean=0.0, std=-1.0),
+     "posterior std must be nonnegative"),
+    (lambda: standardization_for(np.ones(3), "noise"), "unknown channel 'noise'"),
+    (lambda: fit(np.zeros((3, 2)), np.ones(2), "objective", seed=0),
+     "targets must match input count"),
+    (lambda: _toy((2,), 2), "XS must be a (q, d) batch or an (R, q, d) stack"),
+    (lambda: _toy((2, 2), 3), "base_normals shape mismatch"),
+], ids=["spec-scale", "posterior-std", "channel", "fit-targets", "samples-xs",
+        "samples-normals"])
+def test_malformed_argument_is_refused(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert type(e.value) is ValueError and str(e.value) == message
+
+
 def test_joint_samples_univariate_mean():
     rng = np.random.default_rng(11)
     m, _ = _toy_model(rng)

@@ -163,7 +163,8 @@ def test_interleaved_tag_runs_are_stages_in_dataset_order(tmp_path):
     st = CampaignState(space=PRECHAMBER_SPACE,
                        acq=AcquisitionConfig(constraint_threshold=25.0),
                        budget=SMALL_BUDGET, dataset=ds, rng_seed=0,
-                       evaluator="external", iteration=1)
+                       evaluator="external")
+    assert st.iteration == 1
     best, trace = best_so_far(st)
     assert best is ds[6]
     assert [t["stage"] for t in trace] == ["doe", "manual", "iter1", "manual"]

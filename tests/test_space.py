@@ -63,6 +63,8 @@ def test_out_of_bounds_names_dimension():
         PRECHAMBER_SPACE.to_unit([9.0, np.nan, 16.0])
     with pytest.raises(ValueError):
         PRECHAMBER_SPACE.from_unit([0.5, np.nan, 0.5])
+    with pytest.raises(ValueError, match="^expected 3 coordinates, got 2$"):
+        PRECHAMBER_SPACE.from_unit([0.5, 0.5])
 
 
 def test_space_validation():
