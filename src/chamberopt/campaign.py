@@ -1,8 +1,10 @@
 """Outer optimization loop and crash-safe campaign persistence.
 
-A campaign alternates fit -> propose -> evaluate/ingest -> update. Embedded
-mode evaluates proposals with a built-in function; external mode writes
-proposal CSVs and waits for result CSVs (ask-tell). The dataset is the one
+A campaign alternates fit -> propose -> evaluate/ingest -> update. Every
+batch, the DOE's and each iteration's, is issued one way: embedded mode
+evaluates it with a built-in function; external mode leaves it pending for
+the caller, who writes its proposals CSV and returns a results CSV
+(ask-tell). The library writes no proposals file. The dataset is the one
 record of progress. State is stored as versioned JSON, written atomically.
 """
 
@@ -19,8 +21,9 @@ import numpy as np
 from .acquisition import AcquisitionConfig
 from .errors import DataError, InvalidStateError, StateFileError
 from .evaluators import (EVALUATORS, Dataset, Observation, proposal_ids,
-                         proposals_path, read_results, stage_label,
-                         write_proposals)
+                         read_results, stage_label)
+# campaign_bench/tracer.py wraps campaign.write_proposals, so the name stays
+from .evaluators import write_proposals  # noqa: F401
 from .gp import GpModel, fit
 from .optim import OptimizerBudget, propose_batch
 from .space import ParameterSpace, count, latin_hypercube, real
@@ -74,11 +77,10 @@ class CampaignState:
 
     @property
     def iteration(self) -> int:
-        """Completed BO iterations: the stages (runs of consecutive rows with
-        one tag, as ``best_so_far`` groups them) tagged ``bo_iter_<n>``. Each
-        version 1-7 state file the program wrote stored it as "iteration"."""
-        return sum(tag.startswith("bo_iter_") for tag, _ in
-                   itertools.groupby(obs.tag for obs in self.dataset))
+        """Completed BO iterations: ``Dataset.iterations``, the stages tagged
+        ``bo_iter_<n>`` as ``best_so_far`` groups them. Each version 1-7
+        state file the program wrote stored it as "iteration"."""
+        return self.dataset.iterations
 
 
 def _append_batch(state: CampaignState, batch, rows) -> CampaignState:
@@ -91,15 +93,18 @@ def _append_batch(state: CampaignState, batch, rows) -> CampaignState:
     return state
 
 
-def _evaluate(state: CampaignState, batch) -> CampaignState:
-    """Score the whole batch with the built-in evaluator, then append it."""
+def _issue(state: CampaignState, batch_u: np.ndarray) -> CampaignState:
+    """Issue the unit points ``batch_u`` as the next batch, numbered 0 on an
+    empty dataset, else ``iteration + 1``: score the whole batch with a
+    built-in evaluator and append it, or leave it pending in external mode."""
+    n = state.iteration + 1 if len(state.dataset) else 0
+    batch = list(zip(proposal_ids(n, len(batch_u)),
+                     map(tuple, state.space.from_unit(batch_u).tolist())))
+    if state.evaluator == "external":
+        state.pending = batch
+        return state
     f = EVALUATORS[state.evaluator][0]
     return _append_batch(state, batch, [(pid, *f(x)) for pid, x in batch])
-
-
-def _batch(iteration: int, x_phys: np.ndarray):
-    ids = proposal_ids(iteration, len(x_phys))
-    return list(zip(ids, map(tuple, x_phys.tolist())))
 
 
 def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
@@ -111,17 +116,16 @@ def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
     state = CampaignState(space=space, acq=acq, budget=budget,
                           dataset=Dataset(space=space), rng_seed=seed,
                           evaluator=evaluator)
-    u = latin_hypercube(space, doe_n, derive_seed(seed, 0, _ROLE_DOE))
-    batch = _batch(0, space.from_unit(u))
-    if evaluator != "external":
-        return _evaluate(state, batch)
-    state.pending = batch
-    return state
+    return _issue(state, latin_hypercube(space, doe_n,
+                                         derive_seed(seed, 0, _ROLE_DOE)))
 
 
 def fit_models(state: CampaignState,
                constraint: bool = True) -> tuple[GpModel, GpModel | None]:
     """The objective GP and the constraint GP, or None without ``constraint``."""
+    if len(state.dataset) < 2:
+        raise InvalidStateError(f"need at least 2 observations, "
+                                f"got {len(state.dataset)}")
     X = state.dataset.unit_inputs()
     it = state.iteration
     mk = fit(X, [r.k for r in state.dataset], "objective",
@@ -146,21 +150,14 @@ def _separate_batch(state: CampaignState, batch_u: np.ndarray,
             -1e-6, 1e-6, (len(flagged), batch_u.shape[1])), 0.0, 1.0)
 
 
-def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState:
+def step(state: CampaignState) -> CampaignState:
     """One BO iteration: fit, propose q candidates, move any that
-    ``Dataset.repeats`` flags, and evaluate or park them.
-
-    Embedded mode evaluates the batch and appends it as ``ingest`` would;
-    external mode writes proposals_iter<N>.csv into campaign_dir and marks
-    the batch pending.
+    ``Dataset.repeats`` flags, and ``_issue`` them: embedded mode evaluates
+    the batch and appends it as ``ingest`` would; external mode marks it
+    pending and writes no file.
     """
     if state.awaiting_results:
         raise InvalidStateError("cannot step while proposals are pending")
-    if len(state.dataset) < 2:
-        raise InvalidStateError("need at least 2 observations before stepping")
-    if state.evaluator == "external" and campaign_dir is None:
-        raise ValueError("external mode needs a campaign directory")
-
     it = state.iteration
     mk, mv = fit_models(state)
     best, _ = best_so_far(state)
@@ -170,12 +167,7 @@ def step(state: CampaignState, campaign_dir: str | None = None) -> CampaignState
                             else (best.k, state.space.to_unit(best.x)))
     rng = np.random.default_rng(derive_seed(state.rng_seed, it, _ROLE_DEDUP))
     _separate_batch(state, batch_u, rng)
-    batch = _batch(it + 1, state.space.from_unit(batch_u))
-    if state.evaluator != "external":
-        return _evaluate(state, batch)
-    write_proposals(proposals_path(campaign_dir, it + 1), state.space, batch)
-    state.pending = batch
-    return state
+    return _issue(state, batch_u)
 
 
 def ingest(state: CampaignState, results_path: str) -> CampaignState:

@@ -136,14 +136,15 @@ def _cmd_init(args):
 
 
 def _cmd_propose(args):
-    state = camp.load_state(_state_path(args.dir))
-    state = camp.step(state, campaign_dir=args.dir)
-    camp.save_state(state, _state_path(args.dir))
-    if state.pending:
-        print(f"wrote {proposals_path(args.dir, state.iteration + 1)} "
-              f"({len(state.pending)} proposals)")
+    state = camp.step(camp.load_state(_state_path(args.dir)))
+    if state.pending:       # before the state: a failed write leaves it as it was
+        path = proposals_path(args.dir, state.iteration + 1)
+        write_proposals(path, state.space, state.pending)
+        done = f"wrote {path} ({len(state.pending)} proposals)"
     else:
-        print(f"evaluated iteration {state.iteration} ({len(state.dataset)} rows)")
+        done = f"evaluated iteration {state.iteration} ({len(state.dataset)} rows)"
+    camp.save_state(state, _state_path(args.dir))
+    print(done)
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ simulation pipeline that may complete jobs out of order.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import re
 from dataclasses import dataclass, field
@@ -47,6 +48,13 @@ class Dataset:
     def __getitem__(self, i):
         return self.rows[i]
 
+    @property
+    def iterations(self) -> int:
+        """The stages (runs of consecutive rows with one tag) tagged
+        ``bo_iter_<n>``: the campaign's completed BO iterations."""
+        return sum(tag.startswith("bo_iter_") for tag, _ in
+                   itertools.groupby(obs.tag for obs in self.rows))
+
     def unit_inputs(self) -> np.ndarray:
         return self.space.to_unit(np.array([r.x for r in self.rows]))
 
@@ -65,7 +73,9 @@ class Dataset:
         """Add a batch of observations, all or nothing. Each row needs a tuple
         of ``ndim`` ``real`` coordinates in bounds (else BoundsViolationError), a
         ``real`` k and v, a ``str`` tag with a ``stage_label`` and no ``repeats``
-        match; DataError names the first other refused row as ``dataset[i]``."""
+        match. A row that starts a ``bo_iter_`` stage is tagged ``bo_iter_<m>``,
+        m one past the ``iterations`` before it. DataError names the first
+        other refused row as ``dataset[i]``."""
         start, refused, typed = len(self.rows), None, observations
         for i, obs in enumerate(observations, start=start):
             try:
@@ -83,10 +93,17 @@ class Dataset:
                 break
         # the rows before a mistyped one go on, so the first refused row is named
         matches = self.repeats(obs.x for obs in typed)
+        m, tag = self.iterations, self.rows[-1].tag if self.rows else None
         for i, (obs, j) in enumerate(zip(typed, matches), start=start):
             if stage_label(obs.tag) is None:
                 raise DataError(f"dataset[{i}]: tag {obs.tag!r} would print as "
                                 f"a program iteration's stage")
+            if obs.tag != tag and obs.tag.startswith("bo_iter_"):
+                m += 1
+                if obs.tag != f"bo_iter_{m}":
+                    raise DataError(f"dataset[{i}]: tag {obs.tag!r} starts BO "
+                                    f"iteration {m}, so it must be 'bo_iter_{m}'")
+            tag = obs.tag
             if j is not None:
                 raise DataError(f"dataset[{i}]: duplicate design point {obs.x} "
                                 f"(matches dataset[{j}])")
@@ -139,9 +156,9 @@ EVALUATORS = {
 }
 
 
-def proposals_path(campaign_dir, iteration: int) -> str:
+def proposals_path(directory, iteration: int) -> str:
     """The proposals CSV of one iteration's batch in a campaign directory."""
-    return os.path.join(campaign_dir, f"proposals_iter{iteration}.csv")
+    return os.path.join(directory, f"proposals_iter{iteration}.csv")
 
 
 def proposal_ids(iteration: int, count: int) -> list[str]:

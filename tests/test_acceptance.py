@@ -300,7 +300,7 @@ def test_criterion_9_protocol_robustness(tmp_path):
     assert len(st.dataset) == 4
 
     # mismatched ids fail atomically
-    st2 = step(st, campaign_dir=str(tmp_path))
+    st2 = step(st)
     bad = tmp_path / "bad.csv"
     bad.write_text("id,k,v_mag\nnot_a_proposal,1.0,2.0\n")
     n_before, pending_before = len(st2.dataset), list(st2.pending)

@@ -194,10 +194,10 @@ def test_external_step_then_ingest(tmp_path):
     _answer(tmp_path / "proposals_iter0.csv", tmp_path / "r0.csv")
     st = ingest(st, tmp_path / "r0.csv")
 
-    st = step(st, campaign_dir=str(tmp_path))
+    st = step(st)
     assert st.awaiting_results
     ppath = tmp_path / "proposals_iter1.csv"
-    assert ppath.exists()
+    write_proposals(ppath, st.space, st.pending)
     _answer(ppath, tmp_path / "r1.csv")
     st = ingest(st, tmp_path / "r1.csv")
     assert st.iteration == 1
@@ -212,7 +212,9 @@ def test_iteration_counts_the_bo_iter_stages(tmp_path):
     write_proposals(tmp_path / "proposals_iter0.csv", st.space, st.pending)
     for i in range(3):
         if i:
-            st = step(st, campaign_dir=str(tmp_path))
+            st = step(st)
+            write_proposals(tmp_path / f"proposals_iter{i}.csv", st.space,
+                            st.pending)
         _answer(tmp_path / f"proposals_iter{i}.csv", tmp_path / f"r{i}.csv")
         st = ingest(st, tmp_path / f"r{i}.csv")
     assert st.iteration == 2
@@ -221,8 +223,9 @@ def test_iteration_counts_the_bo_iter_stages(tmp_path):
                                  ["manual", "bo_iter_3"], [2, 3]):
         st.dataset.append(Observation(tuple(x.tolist()), *proxy_prechamber(x), tag))
         assert st.iteration == iteration
-    st = step(st, campaign_dir=str(tmp_path))
+    st = step(st)
     assert [pid for pid, _ in st.pending] == ["iter4_0", "iter4_1"]
+    write_proposals(tmp_path / "proposals_iter4.csv", st.space, st.pending)
     _answer(tmp_path / "proposals_iter4.csv", tmp_path / "r4.csv")
     st = ingest(st, tmp_path / "r4.csv")
     assert [obs.tag for obs in st.dataset.rows[-4:]] == [
@@ -230,20 +233,42 @@ def test_iteration_counts_the_bo_iter_stages(tmp_path):
     assert st.iteration == 4
 
 
-def test_external_step_without_directory_refuses_before_fitting(monkeypatch, tmp_path):
-    st = _external(tmp_path)
-    from chamberopt.evaluators import write_proposals
-    write_proposals(tmp_path / "proposals_iter0.csv", st.space, st.pending)
-    _answer(tmp_path / "proposals_iter0.csv", tmp_path / "r0.csv")
-    st = ingest(st, tmp_path / "r0.csv")
+@pytest.mark.parametrize("tag", ["bo_iter_2", "bo_iter_x", "bo_iter_01"])
+def test_a_hand_row_that_starts_an_iteration_numbers_it(tag):
+    # a hand row that starts a bo_iter_ stage numbers the next iteration:
+    # a DOE and a row tagged bo_iter_2 would leave iteration at 1, and every
+    # later step would join that stage with iteration 1's seeds and ids
+    st = init_campaign(PRECHAMBER_SPACE, _acq(q=2), SMALL_BUDGET, doe_n=4,
+                       seed=0, evaluator="proxy")
+    x1, x2 = (tuple(x.tolist()) for x in PRECHAMBER_SPACE.from_unit(
+        [[0.11, 0.22, 0.33], [0.44, 0.55, 0.66]]))
+    with pytest.raises(DataError, match=rf"^dataset\[4\]: tag '{tag}' starts "
+                                        rf"BO iteration 1, so it must be 'bo_iter_1'$"):
+        st.dataset.append(Observation(x1, *proxy_prechamber(x1), tag))
+    assert len(st.dataset) == 4 and st.iteration == 0
+    # bo_iter_1 starts iteration 1, and a second row continues its stage
+    st.dataset.append(*(Observation(x, *proxy_prechamber(x), "bo_iter_1")
+                        for x in (x1, x2)))
+    assert st.iteration == 1
+    for n in (2, 3):
+        st = step(st)
+        assert st.iteration == n and st.dataset.rows[-1].tag == f"bo_iter_{n}"
 
-    def fit_models(state):
-        raise AssertionError("fitted before the campaign directory was checked")
 
-    monkeypatch.setattr(campaign, "fit_models", fit_models)
-    with pytest.raises(ValueError, match="external mode needs a campaign directory"):
-        step(st)
-    assert not st.awaiting_results
+def test_external_init_and_step_write_no_file(tmp_path, monkeypatch):
+    cwd, files = tmp_path / "cwd", tmp_path / "files"
+    cwd.mkdir()
+    files.mkdir()
+    monkeypatch.chdir(cwd)
+    st = _external(None)
+    write_proposals(files / "proposals_iter0.csv", st.space, st.pending)
+    _answer(files / "proposals_iter0.csv", files / "r0.csv")
+    st = ingest(st, files / "r0.csv")
+    before = {p: p.read_bytes() for p in files.iterdir()}
+    st = step(st)
+    assert [pid for pid, _ in st.pending] == ["iter1_0", "iter1_1"]
+    assert list(cwd.iterdir()) == []
+    assert {p: p.read_bytes() for p in files.iterdir()} == before
 
 
 def _collided_step(monkeypatch, tmp_path, evaluator):
@@ -260,7 +285,7 @@ def _collided_step(monkeypatch, tmp_path, evaluator):
     target = np.vstack([st.dataset.unit_inputs()[0], [0.3] * 3, [0.3] * 3])
     monkeypatch.setattr("chamberopt.campaign.propose_batch",
                         lambda *args, **kwargs: target.copy())
-    st = step(st, campaign_dir=str(tmp_path))
+    st = step(st)
     if evaluator == "external":
         save_state(st, tmp_path / "state.json")
         xs = [x for _, x in load_state(tmp_path / "state.json").pending]
@@ -286,7 +311,7 @@ def test_step_separates_a_batch_that_repeats_points(monkeypatch, tmp_path,
 def test_step_blocked_while_pending(tmp_path):
     st = _external(tmp_path)
     with pytest.raises(InvalidStateError):
-        step(st, campaign_dir=str(tmp_path))
+        step(st)
 
 
 def test_ingest_without_pending(tmp_path):

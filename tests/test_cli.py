@@ -21,7 +21,7 @@ from chamberopt.errors import (BoundsViolationError, DataError,
                               DegenerateDataError, InvalidStateError,
                               NumericError, ProtocolError, StateFileError)
 from chamberopt.evaluators import (QUADRATIC_SPACE, Dataset, proxy_prechamber,
-                                   read_proposals)
+                                   read_proposals, write_proposals)
 from chamberopt.space import PRECHAMBER_SPACE
 
 FAST = ["--raw-samples", "16", "--restarts", "2", "--mc-samples", "128"]
@@ -170,9 +170,9 @@ def test_external_workflow_init_propose_ingest(tmp_path, capsys):
 def test_every_iteration_rederives_from_its_dataset_prefix(tmp_path, capsys,
                                                            mode):
     # the rows before an iteration's first row are the state it started
-    # from: a step from them proposes that iteration's rows again
-    d, again = tmp_path / "camp", tmp_path / "again"
-    again.mkdir()
+    # from: a step from them proposes that iteration's rows again, and
+    # writes no file
+    d, again = tmp_path / "camp", tmp_path / "again.csv"
     if mode == "embedded":
         assert main(_run_args(d, ["--iters", "4"])) == EXIT_OK
     else:
@@ -186,20 +186,22 @@ def test_every_iteration_rederives_from_its_dataset_prefix(tmp_path, capsys,
     state = load_state(d / "state.json")
     tags = [obs.tag for obs in state.dataset]
     assert state.iteration == 4
+    files = {p: p.read_bytes() for p in d.iterdir()}
     for i in range(1, 5):
         start = tags.index(f"bo_iter_{i}")
         prefix = Dataset(space=state.space)
         prefix.append(*state.dataset.rows[:start])
         before = dataclasses.replace(state, dataset=prefix)
         assert before.iteration == i - 1
-        after = step(before, campaign_dir=str(again))
+        after = step(before)
+        assert {p: p.read_bytes() for p in d.iterdir()} == files
         xs = ([obs.x for obs in after.dataset.rows[start:]] if mode == "embedded"
               else [x for _, x in after.pending])
         assert sorted(xs) == sorted(obs.x for obs in state.dataset
                                     if obs.tag == f"bo_iter_{i}")
         if mode == "asktell":
-            assert ((again / f"proposals_iter{i}.csv").read_bytes()
-                    == (d / f"proposals_iter{i}.csv").read_bytes())
+            write_proposals(again, after.space, after.pending)
+            assert again.read_bytes() == (d / f"proposals_iter{i}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("content", [
@@ -392,6 +394,11 @@ def _iter_hand_tag(doc):
         r["tag"] = tag
 
 
+def _skipped_iteration_tag(doc):
+    # the stage after the DOE is iteration 1, so its tag is bo_iter_1
+    doc["dataset"][-1]["tag"] = "bo_iter_2"
+
+
 def _huge_mc_samples(doc):
     # beyond numpy's index range: refused at load, not after the fits
     doc["acq"]["mc_samples"] = 10**400
@@ -402,7 +409,8 @@ def _huge_mc_samples(doc):
                                      _int_tag, _boolean_coordinate,
                                      _huge_int_k, _nan_coordinate, _string_lower,
                                      _integer_name, _overflowing_span,
-                                     _huge_mc_samples, _iter_hand_tag])
+                                     _huge_mc_samples, _iter_hand_tag,
+                                     _skipped_iteration_tag])
 def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
     d = _doe_ingested(tmp_path)
     before = _edit_state(d, corrupt)
@@ -415,6 +423,8 @@ def test_corrupt_state_row_is_io_error(tmp_path, capsys, corrupt):
         assert "dataset[" in err
     if corrupt is _iter_hand_tag:
         assert "dataset[1]: tag 'iter1'" in err
+    if corrupt is _skipped_iteration_tag:
+        assert "dataset[3]: tag 'bo_iter_2' starts BO iteration 1" in err
     if corrupt is _duplicate_row:
         last = len(json.loads(before)["dataset"]) - 1
         assert f"dataset[{last}]: duplicate" in err and "(matches dataset[0])" in err
@@ -464,8 +474,9 @@ def _one_row(d):
     ("propose", _proposals_path_is_a_directory, EXIT_IO,
      "cannot write proposals file"),
     ("propose", _one_row, EXIT_STATE, "need at least 2 observations"),
+    ("slices", _one_row, EXIT_STATE, "need at least 2 observations"),
 ], ids=["propose-no-state", "ingest-no-results", "propose-proposals-dir",
-        "propose-one-row"])
+        "propose-one-row", "slices-one-row"])
 def test_failed_command_prints_one_line_and_keeps_the_state(
         tmp_path, capsys, command, prepare, code, message):
     d = _doe_ingested(tmp_path)
