@@ -83,28 +83,25 @@ class CampaignState:
         return self.dataset.iterations
 
 
-def _append_batch(state: CampaignState, batch, rows) -> CampaignState:
-    """Append the (id, k, v) ``rows`` of the (id, x) proposals ``batch`` as
-    one stage, all or nothing: a refused row leaves the state untouched."""
-    x_of = dict(batch)
+def _append_batch(state: CampaignState, xs, values) -> CampaignState:
+    """Append the points ``xs`` with their (k, v) ``values``, in that order,
+    as one stage, all or nothing: a refused row leaves the state untouched."""
     tag = f"bo_iter_{state.iteration + 1}" if len(state.dataset) else "doe"
-    state.dataset.append(*(Observation(x_of[pid], k, v, tag) for pid, k, v in rows))
+    state.dataset.append(*(Observation(x, k, v, tag) for x, (k, v) in zip(xs, values)))
     state.pending = []
     return state
 
 
 def _issue(state: CampaignState, batch_u: np.ndarray) -> CampaignState:
-    """Issue the unit points ``batch_u`` as the next batch, numbered 0 on an
-    empty dataset, else ``iteration + 1``: score the whole batch with a
-    built-in evaluator and append it, or leave it pending in external mode."""
+    """Issue the unit points ``batch_u`` as the next batch: a built-in
+    evaluator scores them for ``_append_batch``, in order; external mode leaves
+    them pending under ids numbered 0 on an empty dataset, else iteration + 1."""
+    xs = list(map(tuple, state.space.from_unit(batch_u).tolist()))
+    if state.evaluator != "external":
+        return _append_batch(state, xs, map(EVALUATORS[state.evaluator][0], xs))
     n = state.iteration + 1 if len(state.dataset) else 0
-    batch = list(zip(proposal_ids(n, len(batch_u)),
-                     map(tuple, state.space.from_unit(batch_u).tolist())))
-    if state.evaluator == "external":
-        state.pending = batch
-        return state
-    f = EVALUATORS[state.evaluator][0]
-    return _append_batch(state, batch, [(pid, *f(x)) for pid, x in batch])
+    state.pending = list(zip(proposal_ids(n, len(xs)), xs))
+    return state
 
 
 def init_campaign(space: ParameterSpace, acq: AcquisitionConfig,
@@ -171,12 +168,14 @@ def step(state: CampaignState) -> CampaignState:
 
 
 def ingest(state: CampaignState, results_path: str) -> CampaignState:
-    """``read_results`` for the pending proposals, then ``_append_batch``:
-    any protocol or data error leaves the state untouched."""
+    """``read_results`` for the pending ids, then ``_append_batch`` of the
+    pending points with their values, in proposal order whatever the results
+    file's line order: any protocol or data error leaves the state untouched."""
     if not state.awaiting_results:
         raise InvalidStateError("no pending proposals to ingest results for")
-    rows = read_results(results_path, [pid for pid, _ in state.pending])
-    return _append_batch(state, state.pending, rows)
+    ids, xs = zip(*state.pending)
+    rows = read_results(results_path, ids)
+    return _append_batch(state, xs, [(k, v) for _, k, v in rows])
 
 
 def _best(rows):

@@ -191,7 +191,9 @@ def read_proposals(path, space: ParameterSpace) -> list[tuple[str, np.ndarray]]:
 
 
 def read_results(path, expected_ids) -> list[tuple[str, float, float]]:
-    """Parse a results CSV (header id,k,v_mag) and match ids exactly."""
+    """Parse a results CSV (header id,k,v_mag) whose ids are exactly
+    ``expected_ids``, each once, in any line order, and return its
+    (id, k, v) rows in the order of ``expected_ids``."""
     try:
         f = open(path, newline="", encoding="utf-8-sig")
     except OSError as e:
@@ -203,31 +205,26 @@ def read_results(path, expected_ids) -> list[tuple[str, float, float]]:
             if header != ["id", "k", "v_mag"]:
                 raise ProtocolError(
                     f"expected header id,k,v_mag in {path}, got {header}")
-            out = []
-            seen = set()
+            got = {}
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != 3:
                     raise DataError(
                         f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-                pid = row[0]
-                if pid in seen:
-                    raise ProtocolError(f"duplicate result id {pid!r}")
-                seen.add(pid)
+                if row[0] in got:
+                    raise ProtocolError(f"duplicate result id {row[0]!r}")
                 try:
-                    k, v = real(float(row[1]), "k"), real(float(row[2]), "v_mag")
+                    got[row[0]] = (real(float(row[1]), "k"),
+                                   real(float(row[2]), "v_mag"))
                 except ValueError as e:
                     raise DataError(f"{path}:{lineno}: {e}") from e
-                out.append((pid, k, v))
     except (csv.Error, UnicodeDecodeError) as e:
         raise DataError(f"cannot parse results file {path}: {e}") from e
 
     expected = set(expected_ids)
-    got = {pid for pid, _, _ in out}
-    missing = sorted(expected - got)
-    extra = sorted(got - expected)
+    missing, extra = sorted(expected - got.keys()), sorted(got.keys() - expected)
     if missing or extra:
         raise ProtocolError(
             f"result ids do not match outstanding proposals; "
             f"missing={missing} extra={extra}"
         )
-    return out
+    return [(pid, *got[pid]) for pid in expected_ids]

@@ -125,6 +125,11 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def standardization_for(raw_targets: np.ndarray, channel: str) -> StandardizationSpec:
+    """The objective's targets are centered on their mean, the constraint's
+    keep 0 at 0, and each channel is scaled by its std. A constant channel
+    is scaled by its magnitude max|y| instead, and an all-zero one by 1, so a
+    constant fits alike in any units: its std is 0, or only the rounding
+    error of its mean, which scaling by the std would blow up to 1."""
     if channel not in ("objective", "constraint"):
         raise ValueError(f"unknown channel {channel!r}")
     y = np.asarray(raw_targets, dtype=float)
@@ -132,9 +137,10 @@ def standardization_for(raw_targets: np.ndarray, channel: str) -> Standardizatio
         center, scale = float(np.mean(y)), float(np.std(y))
     if not np.isfinite([center, scale]).all():
         raise NumericError(f"the {channel} values overflow when standardized")
-    # the constraint keeps 0 at 0, and a constant channel scales by 1
+    if scale == 0.0 or np.ptp(y) == 0.0:
+        scale = float(np.max(np.abs(y))) or 1.0
     return StandardizationSpec(center=center if channel == "objective" else 0.0,
-                               scale=scale or 1.0)
+                               scale=scale)
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:

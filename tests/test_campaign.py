@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ from chamberopt.errors import DataError, InvalidStateError, StateFileError
 from chamberopt.evaluators import (EVALUATORS, Observation, proxy_prechamber,
                                    read_proposals, write_proposals)
 from chamberopt.optim import OptimizerBudget
-from chamberopt.space import PRECHAMBER_SPACE
+from chamberopt.space import PRECHAMBER_SPACE, ParameterSpace
 
 SMALL_BUDGET = OptimizerBudget(raw_samples=32, restarts=3)
 
@@ -203,6 +204,63 @@ def test_external_step_then_ingest(tmp_path):
     assert st.iteration == 1
     assert len(st.dataset) == 4 + 2
     assert sum(r.tag == "bo_iter_1" for r in st.dataset) == 2
+
+
+def _answer_pending(st, path, f, seed):
+    """Write ``f``'s results for the pending batch, shuffled by ``seed``."""
+    rows = list(st.pending)
+    random.Random(seed).shuffle(rows)
+    with open(path, "w") as out:
+        out.write("id,k,v_mag\n")
+        for pid, x in rows:
+            k, v = f(x)
+            out.write(f"{pid},{k!r},{v!r}\n")
+
+
+def test_embedded_and_asktell_campaigns_hold_the_same_rows(tmp_path):
+    # the same campaign driven ask-tell by the proxy, with every results
+    # file shuffled, holds the embedded campaign's rows in the same order
+    embedded = run_campaign(_embedded(seed=4, doe=6), 3)
+    st = init_campaign(PRECHAMBER_SPACE, _acq(), SMALL_BUDGET, doe_n=6,
+                       seed=4, evaluator="external")
+    for i in range(4):
+        if i:
+            st = step(st)
+        _answer_pending(st, tmp_path / f"r{i}.csv", proxy_prechamber, seed=i)
+        st = ingest(st, tmp_path / f"r{i}.csv")
+    assert len(st.dataset) == 6 + 3 * 3
+    assert st.dataset.rows == embedded.dataset.rows
+
+
+def test_units_of_x_and_v_change_no_proposal(tmp_path):
+    # an external 2-D campaign with its bounds scaled by 2^m, its v and
+    # threshold by 2^a, or both, proposes the same points divided by 2^m.
+    # k keeps its units: optim._GAIN_TOL is an absolute tolerance on qCEI
+    # gains, in objective units, so scaling k changes the proposals.
+    def proposals(m, a):
+        space = ParameterSpace.from_bounds(
+            ["x1", "x2"], np.ldexp([-1.0, 0.5], m), np.ldexp([3.0, 2.0], m))
+
+        def f(x):
+            u1, u2 = (np.ldexp(x, -m) - [-1.0, 0.5]) / [4.0, 1.5]
+            k = -(u1 - 0.6) ** 2 - (u2 - 0.3) ** 2 + 0.3 * u1 * u2
+            return float(k), float(np.ldexp(u1 + u2 ** 2, a))
+
+        st = init_campaign(space, _acq(q=2, mc=64, thr=np.ldexp(0.9, a)),
+                           OptimizerBudget(raw_samples=16, restarts=2),
+                           doe_n=6, seed=2, evaluator="external")
+        out = []
+        for i in range(4):
+            if i:
+                st = step(st)
+            out += [np.ldexp(x, -m).tolist() for _, x in st.pending]
+            _answer_pending(st, tmp_path / "r.csv", f, seed=i)
+            st = ingest(st, tmp_path / "r.csv")
+        return out
+
+    base = proposals(0, 0)
+    for m, a in [(-7, 0), (5, 0), (0, -9), (0, 12), (-7, 12), (5, -9)]:
+        assert proposals(m, a) == base, (m, a)
 
 
 def test_iteration_counts_the_bo_iter_stages(tmp_path):

@@ -166,6 +166,29 @@ def test_external_workflow_init_propose_ingest(tmp_path, capsys):
     assert states[0] == states[1]
 
 
+def test_results_line_order_changes_no_output(tmp_path, capsys):
+    # a pipeline finishes its runs in any order: results files in proposal
+    # order and shuffled give byte-identical state, proposals, tables and
+    # slices, as every batch enters the dataset in proposal order
+    outputs = []
+    for shuffled in (False, True):
+        d = tmp_path / f"camp{int(shuffled)}"
+        assert main(["init", "--config", str(_config(tmp_path)),
+                     "--dir", str(d)]) == EXIT_OK
+        for i in range(4):
+            if i:
+                assert main(["propose", "--dir", str(d)]) == EXIT_OK
+            _answer(d / f"proposals_iter{i}.csv", d / f"r{i}.csv",
+                    seed=i if shuffled else None)
+            assert main(["ingest", str(d / f"r{i}.csv"), "--dir", str(d)]) == EXIT_OK
+        assert main(["report", "--dir", str(d)]) == EXIT_OK
+        assert main(["slices", "--dir", str(d), "--resolution", "5"]) == EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in d.iterdir()
+                        if not p.name.startswith("r")})
+    assert len(outputs[0]) == 1 + 4 + 2 + 7      # state, proposals, tables, slices
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("mode", ["embedded", "asktell"])
 def test_every_iteration_rederives_from_its_dataset_prefix(tmp_path, capsys,
                                                            mode):

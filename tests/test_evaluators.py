@@ -196,7 +196,7 @@ def test_read_results_out_of_order_ok(tmp_path):
     path = tmp_path / "r.csv"
     _write_results(path, [("iter1_1", 2.0, 2.0), ("iter1_0", 1.0, 2.0)])
     out = read_results(path, ["iter1_0", "iter1_1"])
-    assert {pid for pid, _, _ in out} == {"iter1_0", "iter1_1"}
+    assert out == [("iter1_0", 1.0, 2.0), ("iter1_1", 2.0, 2.0)]
 
 
 # ------------------------------------------------------------ dataset

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -89,15 +90,37 @@ def test_fit_constant_targets_recovers_constant_mean():
     assert g.mean == pytest.approx(42.0)
 
 
-def test_failed_fit_names_the_channel_and_the_last_error():
-    # a constant constraint channel keeps its raw scale, and every restart's
-    # likelihood overflows
+@pytest.mark.parametrize("c", [25.0, 1.3])   # ten 1.3s: the mean rounds, std > 0
+@pytest.mark.parametrize("channel", ["objective", "constraint"])
+def test_constant_channel_fits_alike_in_any_units(channel, c):
+    # a constant channel is scaled by its magnitude, so the fit in
+    # standardized units is one fit and the raw posterior scales with the units
+    rng = np.random.default_rng(4)
+    X, Xq = rng.uniform(size=(10, 3)), rng.uniform(size=(5, 3))
+    m = fit(X, np.full(10, c), channel, seed=0)
+    assert m.standardize.scale == c
+    mean0, std0 = posterior(m, Xq)
+    for a in (-20, 7, 20):
+        mean, std = posterior(fit(X, np.full(10, np.ldexp(c, a)), channel,
+                                  seed=0), Xq)
+        np.testing.assert_array_equal(mean, np.ldexp(mean0, a))
+        np.testing.assert_array_equal(std, np.ldexp(std0, a))
+
+
+def test_failed_fit_names_the_channel_and_the_last_error(monkeypatch):
+    # every restart's first likelihood call overflows
+    calls = itertools.count(1)
+
+    def overflowing(X, y, log_params):
+        raise FloatingPointError(f"overflow in likelihood call {next(calls)}")
+
+    monkeypatch.setattr(gp, "lml_and_grad", overflowing)
     X = np.random.default_rng(1).uniform(size=(6, 2))
     with pytest.raises(NumericError) as e:
-        fit(X, np.full(6, 7.7e116), "constraint", seed=0)
-    assert str(e.value).startswith(f"all {gp._N_RESTARTS} hyperparameter "
-                                   "restarts of the constraint channel failed: ")
-    assert "overflow" in str(e.value)
+        fit(X, np.arange(6.0), "constraint", seed=0)
+    assert str(e.value) == (f"all {gp._N_RESTARTS} hyperparameter restarts of "
+                            f"the constraint channel failed: overflow in "
+                            f"likelihood call {gp._N_RESTARTS}")
 
 
 def test_fit_noise_std_never_changes():
