@@ -72,21 +72,24 @@ class CampaignState:
                              f"{sorted(EVALUATORS)}, got {self.evaluator!r}")
 
     @property
-    def awaiting_results(self) -> bool:
-        return len(self.pending) > 0
-
-    @property
     def iteration(self) -> int:
         """Completed BO iterations: ``Dataset.iterations``, the stages tagged
         ``bo_iter_<n>`` as ``best_so_far`` groups them. Each version 1-7
         state file the program wrote stored it as "iteration"."""
         return self.dataset.iterations
 
+    @property
+    def batch(self) -> int:
+        """The number of the batch pending or issued next: 0, the DOE, on an
+        empty dataset, else iteration + 1. It numbers the batch's stage tag,
+        its proposal ids and its ``proposals_iter<n>.csv``."""
+        return self.iteration + 1 if len(self.dataset) else 0
+
 
 def _append_batch(state: CampaignState, xs, values) -> CampaignState:
     """Append the points ``xs`` with their (k, v) ``values``, in that order,
     as one stage, all or nothing: a refused row leaves the state untouched."""
-    tag = f"bo_iter_{state.iteration + 1}" if len(state.dataset) else "doe"
+    tag = f"bo_iter_{state.batch}" if state.batch else "doe"
     state.dataset.append(*(Observation(x, k, v, tag) for x, (k, v) in zip(xs, values)))
     state.pending = []
     return state
@@ -95,12 +98,11 @@ def _append_batch(state: CampaignState, xs, values) -> CampaignState:
 def _issue(state: CampaignState, batch_u: np.ndarray) -> CampaignState:
     """Issue the unit points ``batch_u`` as the next batch: a built-in
     evaluator scores them for ``_append_batch``, in order; external mode leaves
-    them pending under ids numbered 0 on an empty dataset, else iteration + 1."""
+    them pending under ids numbered by ``state.batch``."""
     xs = list(map(tuple, state.space.from_unit(batch_u).tolist()))
     if state.evaluator != "external":
         return _append_batch(state, xs, map(EVALUATORS[state.evaluator][0], xs))
-    n = state.iteration + 1 if len(state.dataset) else 0
-    state.pending = list(zip(proposal_ids(n, len(xs)), xs))
+    state.pending = list(zip(proposal_ids(state.batch, len(xs)), xs))
     return state
 
 
@@ -153,7 +155,7 @@ def step(state: CampaignState) -> CampaignState:
     the batch and appends it as ``ingest`` would; external mode marks it
     pending and writes no file.
     """
-    if state.awaiting_results:
+    if state.pending:
         raise InvalidStateError("cannot step while proposals are pending")
     it = state.iteration
     mk, mv = fit_models(state)
@@ -171,7 +173,7 @@ def ingest(state: CampaignState, results_path: str) -> CampaignState:
     """``read_results`` for the pending ids, then ``_append_batch`` of the
     pending points with their values, in proposal order whatever the results
     file's line order: any protocol or data error leaves the state untouched."""
-    if not state.awaiting_results:
+    if not state.pending:
         raise InvalidStateError("no pending proposals to ingest results for")
     ids, xs = zip(*state.pending)
     rows = read_results(results_path, ids)

@@ -120,6 +120,11 @@ def _cmd_init(args):
                          f"expected some of {list(_CONFIG_KEYS)}")
     space = ParameterSpace.from_config(cfg.get("space"))
     evaluator = cfg.get("evaluator", "external")
+    if (isinstance(evaluator, str) and evaluator in EVALUATORS
+            and space != EVALUATORS[evaluator][1]):
+        own = json.dumps(EVALUATORS[evaluator][1].to_config())
+        raise ValueError(f"config field 'space' must be the space of evaluator "
+                         f"{evaluator!r}, {own}")
     acq = _config_section(cfg, "acq", lambda **f: _acquisition(evaluator, **f))
     budget = _config_section(cfg, "budget", OptimizerBudget)
     state = camp.init_campaign(space, acq, budget,
@@ -127,7 +132,7 @@ def _cmd_init(args):
                                seed=cfg.get("seed", 0), evaluator=evaluator)
     os.makedirs(args.dir, exist_ok=True)
     if state.pending:
-        path = proposals_path(args.dir, 0)
+        path = proposals_path(args.dir, state.batch)
         write_proposals(path, space, state.pending)
         print(f"wrote {path} ({len(state.pending)} DOE proposals)")
     camp.save_state(state, state_path)
@@ -138,7 +143,7 @@ def _cmd_init(args):
 def _cmd_propose(args):
     state = camp.step(camp.load_state(_state_path(args.dir)))
     if state.pending:       # before the state: a failed write leaves it as it was
-        path = proposals_path(args.dir, state.iteration + 1)
+        path = proposals_path(args.dir, state.batch)
         write_proposals(path, state.space, state.pending)
         done = f"wrote {path} ({len(state.pending)} proposals)"
     else:

@@ -34,7 +34,7 @@ def test_init_embedded_evaluates_doe():
     st = _embedded(doe=10)
     assert len(st.dataset) == 10
     assert st.iteration == 0
-    assert not st.awaiting_results
+    assert st.pending == []
     assert all(r.tag == "doe" for r in st.dataset)
 
 
@@ -174,7 +174,7 @@ def _answer(proposals_path, results_path, drop=None, corrupt=None):
 
 def test_external_doe_round_trip(tmp_path):
     st = _external(tmp_path)
-    assert st.awaiting_results
+    assert st.pending
     assert len(st.dataset) == 0
     from chamberopt.evaluators import write_proposals
     ppath = tmp_path / "proposals_iter0.csv"
@@ -184,7 +184,7 @@ def test_external_doe_round_trip(tmp_path):
     st = ingest(st, rpath)
     assert len(st.dataset) == 4
     assert st.iteration == 0
-    assert not st.awaiting_results
+    assert st.pending == []
     assert all(r.tag == "doe" for r in st.dataset)
 
 
@@ -196,7 +196,7 @@ def test_external_step_then_ingest(tmp_path):
     st = ingest(st, tmp_path / "r0.csv")
 
     st = step(st)
-    assert st.awaiting_results
+    assert st.pending
     ppath = tmp_path / "proposals_iter1.csv"
     write_proposals(ppath, st.space, st.pending)
     _answer(ppath, tmp_path / "r1.csv")

@@ -194,7 +194,8 @@ def test_every_iteration_rederives_from_its_dataset_prefix(tmp_path, capsys,
                                                            mode):
     # the rows before an iteration's first row are the state it started
     # from: a step from them proposes that iteration's rows again, and
-    # writes no file
+    # writes no file; all the rows are the state the pending batch started
+    # from
     d, again = tmp_path / "camp", tmp_path / "again.csv"
     if mode == "embedded":
         assert main(_run_args(d, ["--iters", "4"])) == EXIT_OK
@@ -206,22 +207,24 @@ def test_every_iteration_rederives_from_its_dataset_prefix(tmp_path, capsys,
                 assert main(["propose", "--dir", str(d)]) == EXIT_OK
             _answer(d / f"proposals_iter{i}.csv", d / f"r{i}.csv", seed=i)
             assert main(["ingest", str(d / f"r{i}.csv"), "--dir", str(d)]) == EXIT_OK
+        assert main(["propose", "--dir", str(d)]) == EXIT_OK
     state = load_state(d / "state.json")
     tags = [obs.tag for obs in state.dataset]
     assert state.iteration == 4
+    assert len(state.pending) == (0 if mode == "embedded" else 2)
     files = {p: p.read_bytes() for p in d.iterdir()}
-    for i in range(1, 5):
-        start = tags.index(f"bo_iter_{i}")
+    for i in range(1, state.batch + bool(state.pending)):    # and the pending batch
+        issued = [obs.x for obs in state.dataset if obs.tag == f"bo_iter_{i}"]
+        start = tags.index(f"bo_iter_{i}") if issued else len(tags)
         prefix = Dataset(space=state.space)
         prefix.append(*state.dataset.rows[:start])
-        before = dataclasses.replace(state, dataset=prefix)
+        before = dataclasses.replace(state, dataset=prefix, pending=[])
         assert before.iteration == i - 1
         after = step(before)
         assert {p: p.read_bytes() for p in d.iterdir()} == files
         xs = ([obs.x for obs in after.dataset.rows[start:]] if mode == "embedded"
               else [x for _, x in after.pending])
-        assert sorted(xs) == sorted(obs.x for obs in state.dataset
-                                    if obs.tag == f"bo_iter_{i}")
+        assert sorted(xs) == sorted(issued or [x for _, x in state.pending])
         if mode == "asktell":
             write_proposals(again, after.space, after.pending)
             assert again.read_bytes() == (d / f"proposals_iter{i}.csv").read_bytes()
@@ -728,6 +731,15 @@ def _huge_raw_samples(cfg):
     cfg["budget"]["raw_samples"] = 10**400
 
 
+def _quadratic_on_the_prechamber_space(cfg):
+    cfg["evaluator"] = "quadratic"
+
+
+def _quadratic_on_renamed_dimensions(cfg):
+    cfg["evaluator"] = "quadratic"
+    cfg["space"] = [{"name": name, "lower": 0, "upper": 1} for name in "ab"]
+
+
 @pytest.mark.parametrize("edit, field", [
     (_no_space, "space"),
     (_unknown_acq_key, "acq"),
@@ -758,6 +770,8 @@ def _huge_raw_samples(cfg):
     (_integer_name, "space[2].name"),
     (_overflowing_span, "space[0]"),
     (_huge_raw_samples, "raw_samples"),
+    (_quadratic_on_the_prechamber_space, "space"),
+    (_quadratic_on_renamed_dimensions, "space"),
 ])
 def test_malformed_init_config_is_usage_error(tmp_path, capsys, edit, field):
     path = _config(tmp_path)
