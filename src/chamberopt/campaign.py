@@ -26,7 +26,7 @@ from .evaluators import (EVALUATORS, Dataset, Observation, proposal_ids,
 from .evaluators import write_proposals  # noqa: F401
 from .gp import GpModel, fit
 from .optim import OptimizerBudget, propose_batch
-from .space import ParameterSpace, count, latin_hypercube, real
+from .space import ParameterSpace, count, latin_hypercube
 
 # older versions also stored top-level keys that load_state ignores:
 # "kernel_nu", "sampler" (1), "lhs_midpoint", "fitted_standardize_k/v" (1-3),
@@ -56,7 +56,10 @@ def derive_seed(rng_seed: int, iteration: int, role: int) -> int:
 @dataclass
 class CampaignState:
     """Settings, dataset and pending (id, x) proposals. ``iteration`` is read
-    from the dataset, so a dataset prefix is the state before an iteration."""
+    from the dataset, so a dataset prefix is the state before an iteration.
+    A built-in evaluator needs its own space, and each pending entry a unique
+    string id and a ``ParameterSpace.check_point`` design point that repeats
+    no row or earlier entry, else a ValueError names ``space`` or ``pending[i]``."""
     space: ParameterSpace
     acq: AcquisitionConfig
     budget: OptimizerBudget
@@ -70,6 +73,23 @@ class CampaignState:
         if self.evaluator not in ("external", *EVALUATORS):
             raise ValueError(f"'evaluator' must be 'external' or one of "
                              f"{sorted(EVALUATORS)}, got {self.evaluator!r}")
+        if self.evaluator != "external" and self.space != EVALUATORS[self.evaluator][1]:
+            own = EVALUATORS[self.evaluator][1].to_config()
+            raise ValueError(f"'space' must be the space of evaluator "
+                             f"{self.evaluator!r}, {json.dumps(own)}")
+        for i, (pid, x) in enumerate(self.pending):
+            try:
+                if not isinstance(pid, str) or pid in dict(self.pending[:i]):
+                    raise ValueError(f"'id' must be a unique string, got {pid!r}")
+                self.space.check_point(x)
+            except ValueError as e:
+                raise ValueError(f"pending[{i}]: {e}") from e
+        xs, n = [x for _, x in self.pending], len(self.dataset)
+        for i, j in enumerate(self.dataset.repeats(xs) if xs else ()):
+            if j is not None:
+                match = f"dataset[{j}]" if j < n else f"pending[{j - n}]"
+                raise ValueError(f"pending[{i}]: duplicate design point {xs[i]} "
+                                 f"(matches {match})")
 
     @property
     def iteration(self) -> int:
@@ -218,40 +238,29 @@ def run_campaign(state: CampaignState, n_iterations: int) -> CampaignState:
 
 # ---------------------------------------------------------------- persistence
 
-def _records_from_json(doc, space: ParameterSpace):
-    """The dataset and the pending (id, x) proposals of a state document;
-    an error names the record, as ``dataset[i]`` or ``pending[i]``."""
-    rows, pending = [], {}
-    for key in ("dataset", "pending"):
-        if not isinstance(doc[key], list):
-            raise ValueError(f"{key!r} must be a JSON list, got {doc[key]!r}")
-        for i, r in enumerate(doc[key]):
-            try:
-                x = tuple(real(c, "x") for c in r["x"])
-                space.to_unit(x)                    # its length and bounds
-                if key == "dataset":
-                    rows.append(Observation(x, r["k"], r["v"], r["tag"]))
-                elif not isinstance(r["id"], str) or r["id"] in pending:
-                    raise ValueError(f"'id' must be a unique string, got {r['id']!r}")
-                else:
-                    pending[r["id"]] = x
-            except KeyError as e:
-                raise ValueError(f"{key}[{i}] has no field {e}: {r!r}") from e
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"{key}[{i}]: {e}") from e
-    dataset = Dataset(space=space)
-    dataset.append(*rows)           # values and duplicates: DataError names dataset[i]
-    xs, n = list(pending.values()), len(rows)
-    for i, j in enumerate(dataset.repeats(xs)):
-        if j is not None:
-            match = f"dataset[{j}]" if j < n else f"pending[{j - n}]"
-            raise ValueError(f"pending[{i}]: duplicate design point {xs[i]} "
-                             f"(matches {match})")
-    return dataset, list(pending.items())
+def _records_from_json(doc, key: str) -> list:
+    """The records of the JSON list ``doc[key]`` as dataset Observations or
+    pending (id, x), parsed: this names a record with a field missing or of the
+    wrong shape as ``key[i]``, ``Dataset.append`` and ``CampaignState`` the rest."""
+    if not isinstance(doc[key], list):
+        raise ValueError(f"{key!r} must be a JSON list, got {doc[key]!r}")
+    records = []
+    for i, r in enumerate(doc[key]):
+        try:
+            x = tuple(r["x"])
+            records.append(Observation(x, r["k"], r["v"], r["tag"])
+                           if key == "dataset" else (r["id"], x))
+        except KeyError as e:
+            raise ValueError(f"{key}[{i}] has no field {e}: {r!r}") from e
+        except TypeError as e:
+            raise ValueError(f"{key}[{i}]: {e}") from e
+    return records
 
 
 def save_state(state: CampaignState, path: str) -> None:
-    """Serialize to versioned JSON via temp-file + rename (atomic)."""
+    """Serialize to versioned JSON via an fsynced temp file + rename (atomic).
+    The rename survives a crash once the directory is synced, as the CLI
+    does after each save."""
     doc = {
         "version": STATE_VERSION,
         "evaluator": state.evaluator,
@@ -318,10 +327,11 @@ def load_state(path: str) -> CampaignState:
         space = ParameterSpace.from_config(doc["space"])
         acq = _section(doc, "acq", AcquisitionConfig)
         budget = _section(doc, "budget", OptimizerBudget)
-        dataset, pending = _records_from_json(doc, space)
-        state = CampaignState(
+        dataset = Dataset(space=space)
+        dataset.append(*_records_from_json(doc, "dataset"))
+        return CampaignState(
             space=space, acq=acq, budget=budget, dataset=dataset,
-            rng_seed=doc["rng_seed"], evaluator=doc["evaluator"], pending=pending)
+            rng_seed=doc["rng_seed"], evaluator=doc["evaluator"],
+            pending=_records_from_json(doc, "pending"))
     except (KeyError, TypeError, ValueError, DataError) as e:
         raise StateFileError(f"{path}: malformed state file: {e}") from e
-    return state

@@ -31,13 +31,23 @@ def _state_path(dirname: str) -> str:
     return os.path.join(dirname, "state.json")
 
 
-def _new_state_path(dirname: str) -> str:
-    """The state path for a new campaign; a directory that already holds one
-    is refused, so ``init`` and ``run`` never overwrite its results."""
+def _refuse_a_live_campaign(dirname: str) -> None:
+    """Refuse a directory that already holds a campaign's state, so ``init``
+    and ``run`` never overwrite its results."""
     path = _state_path(dirname)
     if os.path.exists(path):
         raise InvalidStateError(f"{path} already exists; use another --dir")
-    return path
+
+
+def _save(state, dirname: str) -> None:
+    """``save_state`` to the campaign's state.json, then fsync the directory,
+    so the rename, like every file a command wrote, survives a crash."""
+    camp.save_state(state, _state_path(dirname))
+    fd = os.open(dirname, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _add_dir_arg(p):
@@ -106,7 +116,7 @@ def _config_section(cfg: dict, key: str, cls):
 
 
 def _cmd_init(args):
-    state_path = _new_state_path(args.dir)
+    _refuse_a_live_campaign(args.dir)
     with open(args.config, encoding="utf-8-sig") as f:
         try:
             cfg = json.load(f)
@@ -120,11 +130,6 @@ def _cmd_init(args):
                          f"expected some of {list(_CONFIG_KEYS)}")
     space = ParameterSpace.from_config(cfg.get("space"))
     evaluator = cfg.get("evaluator", "external")
-    if (isinstance(evaluator, str) and evaluator in EVALUATORS
-            and space != EVALUATORS[evaluator][1]):
-        own = json.dumps(EVALUATORS[evaluator][1].to_config())
-        raise ValueError(f"config field 'space' must be the space of evaluator "
-                         f"{evaluator!r}, {own}")
     acq = _config_section(cfg, "acq", lambda **f: _acquisition(evaluator, **f))
     budget = _config_section(cfg, "budget", OptimizerBudget)
     state = camp.init_campaign(space, acq, budget,
@@ -135,7 +140,7 @@ def _cmd_init(args):
         path = proposals_path(args.dir, state.batch)
         write_proposals(path, space, state.pending)
         print(f"wrote {path} ({len(state.pending)} DOE proposals)")
-    camp.save_state(state, state_path)
+    _save(state, args.dir)
     print(f"campaign initialized in {args.dir}")
     return EXIT_OK
 
@@ -148,7 +153,7 @@ def _cmd_propose(args):
         done = f"wrote {path} ({len(state.pending)} proposals)"
     else:
         done = f"evaluated iteration {state.iteration} ({len(state.dataset)} rows)"
-    camp.save_state(state, _state_path(args.dir))
+    _save(state, args.dir)
     print(done)
     return EXIT_OK
 
@@ -156,13 +161,13 @@ def _cmd_propose(args):
 def _cmd_ingest(args):
     state = camp.load_state(_state_path(args.dir))
     state = camp.ingest(state, args.results)
-    camp.save_state(state, _state_path(args.dir))
+    _save(state, args.dir)
     print(f"ingested {args.results}; dataset now has {len(state.dataset)} rows")
     return EXIT_OK
 
 
 def _cmd_run(args):
-    state_path = _new_state_path(args.dir)
+    _refuse_a_live_campaign(args.dir)
     space = EVALUATORS[args.evaluator][1]
     thr = {} if args.threshold is None else {"constraint_threshold": args.threshold}
     acq = _acquisition(args.evaluator, mc_samples=args.mc_samples,
@@ -172,7 +177,7 @@ def _cmd_run(args):
                                seed=args.seed, evaluator=args.evaluator)
     state = camp.run_campaign(state, args.iters)
     os.makedirs(args.dir, exist_ok=True)
-    camp.save_state(state, state_path)
+    _save(state, args.dir)
     print(emit_table(state, args.dir))
     return EXIT_OK
 

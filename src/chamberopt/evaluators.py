@@ -70,34 +70,28 @@ class Dataset:
             yield int(np.argmin(d)) if i and np.min(d) < self.MIN_GAP else None
 
     def append(self, *observations: Observation):
-        """Add a batch of observations, all or nothing. Each row needs a tuple
-        of ``ndim`` ``real`` coordinates in bounds (else BoundsViolationError), a
-        ``real`` k and v, a ``str`` tag with a ``stage_label`` and no ``repeats``
-        match. A row that starts a ``bo_iter_`` stage is tagged ``bo_iter_<m>``,
-        m one past the ``iterations`` before it. DataError names the first
-        other refused row as ``dataset[i]``."""
+        """Add a batch of observations, all or nothing. Each row needs a
+        ``ParameterSpace.check_point`` design point x, a ``real`` k and v, a
+        ``str`` tag with a ``stage_label`` and no ``repeats`` match. A row that
+        starts a ``bo_iter_`` stage is tagged ``bo_iter_<m>``, m one past the
+        ``iterations`` before it. DataError names the first refused row, an
+        out-of-bounds one too, as ``dataset[i]``."""
         start, refused, typed = len(self.rows), None, observations
         for i, obs in enumerate(observations, start=start):
             try:
-                if not (isinstance(obs.x, tuple) and len(obs.x) == self.space.ndim
-                        and isinstance(obs.tag, str)):
-                    raise ValueError(f"'x' must be a tuple of {self.space.ndim} "
-                                     f"coordinates and 'tag' a string, "
-                                     f"got {obs.x!r} and {obs.tag!r}")
-                for c in obs.x:
-                    real(c, "x")
+                self.space.check_point(obs.x)
+                if not isinstance(obs.tag, str) or stage_label(obs.tag) is None:
+                    raise ValueError(f"tag {obs.tag!r} must be a string that does "
+                                     f"not print as a program iteration's stage")
                 real(obs.k, "k")
                 real(obs.v, "v")
             except (TypeError, ValueError) as e:
                 refused, typed = DataError(f"dataset[{i}]: {e}"), typed[:i - start]
                 break
-        # the rows before a mistyped one go on, so the first refused row is named
+        # the rows before one refused here go on, so the first refused row is named
         matches = self.repeats(obs.x for obs in typed)
         m, tag = self.iterations, self.rows[-1].tag if self.rows else None
         for i, (obs, j) in enumerate(zip(typed, matches), start=start):
-            if stage_label(obs.tag) is None:
-                raise DataError(f"dataset[{i}]: tag {obs.tag!r} would print as "
-                                f"a program iteration's stage")
             if obs.tag != tag and obs.tag.startswith("bo_iter_"):
                 m += 1
                 if obs.tag != f"bo_iter_{m}":
@@ -167,7 +161,7 @@ def proposal_ids(iteration: int, count: int) -> list[str]:
 
 def write_proposals(path, space: ParameterSpace, batch) -> None:
     """Write the (id, x) proposals ``batch``, a campaign's pending batch, as
-    they are to a proposals CSV (header id,<dim names>)."""
+    they are to a proposals CSV (header id,<dim names>), synced to disk."""
     if not batch:
         raise ValueError("empty proposal batch")
     space.to_unit([x for _, x in batch])        # bounds check
@@ -177,6 +171,8 @@ def write_proposals(path, space: ParameterSpace, batch) -> None:
             w.writerow(["id"] + space.names)
             for pid, x in batch:
                 w.writerow([pid] + [f"{v:.17g}" for v in x])
+            f.flush()
+            os.fsync(f.fileno())
     except OSError as e:
         raise OSError(f"cannot write proposals file {path}: {e}") from e
 

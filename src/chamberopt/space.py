@@ -5,16 +5,16 @@ rules for the numbers that a config or a state file holds.
 All optimization-facing code works on the closed unit cube [0, 1]^d; physical
 coordinates appear only at the evaluator boundary and in reports.
 
-Each settings type checks its own fields with two rules when it is built, so
-a file reader only builds the types, and ``evaluators.Dataset.append``
-holds each row's coordinates, k and v to ``real``. An integer (``count``)
-is a Python ``int``: JSON true/false load as ``bool``, which Python counts
-as an int, and JSON cannot write back a numpy integer; it is at most
-``sys.maxsize``, numpy's index range, so a larger count fails at load and
-not in numpy after a full fit. A finite number (``real``) is an ``int`` or
-``float``, not a ``bool``, NaN, +-inf or an int beyond the float range. A
-dimension's span ``upper - lower`` must be finite too, or every scaling by
-it overflows. A coordinate is tested as ``lower <= x <= upper``: NaN fails.
+The settings types, ``evaluators.Dataset.append`` and ``campaign.CampaignState``
+check their data with two rules when built, so a config or state file
+reader only builds the types. An integer (``count``) is a Python ``int``:
+JSON true/false load as ``bool``, which Python counts as an int, and JSON
+cannot write back a numpy integer; it is at most ``sys.maxsize``, numpy's
+index range, so a larger count fails at load and not in numpy after a full
+fit. A finite number (``real``) is an ``int`` or ``float``, not a ``bool``,
+NaN, +-inf or an int beyond the float range. A dimension's span ``upper -
+lower`` must be finite too, or every scaling by it overflows. A coordinate
+is tested as ``lower <= x <= upper``: NaN fails.
 """
 
 from __future__ import annotations
@@ -98,6 +98,16 @@ class ParameterSpace:
     @property
     def uppers(self) -> np.ndarray:
         return np.array([d.upper for d in self.dims])
+
+    def check_point(self, x) -> None:
+        """Check that ``x`` is a design point, a tuple of ``ndim`` ``real``
+        coordinates in bounds: a ValueError (BoundsViolationError out of bounds)."""
+        if not (isinstance(x, tuple) and len(x) == self.ndim):
+            raise ValueError(f"'x' must be a tuple of {self.ndim} coordinates, got {x!r}")
+        for c, d in zip(x, self.dims):
+            if not d.lower <= real(c, "x") <= d.upper:
+                raise BoundsViolationError(
+                    f"dimension {d.name!r}: value {c!r} outside [{d.lower}, {d.upper}]")
 
     def to_unit(self, x: np.ndarray) -> np.ndarray:
         """Map physical coordinates to the unit cube. Bounds are closed."""

@@ -59,6 +59,40 @@ def test_init_rejects_non_integer_seed_and_doe_size(name, value):
         init_campaign(PRECHAMBER_SPACE, _acq(), SMALL_BUDGET, **kwargs)
 
 
+@pytest.mark.parametrize("space, evaluator", [
+    (PRECHAMBER_SPACE, "quadratic"),
+    (ParameterSpace.from_bounds(["a", "b"], [0.0, 0.0], [1.0, 1.0]), "quadratic"),
+    (ParameterSpace.from_bounds(["x1", "x2"], [0.0, 0.0], [1.0, 1.0]), "proxy")])
+def test_init_refuses_a_builtin_evaluator_on_another_space(space, evaluator):
+    with pytest.raises(ValueError, match=f"^'space' must be the space of "
+                                         f"evaluator '{evaluator}'"):
+        init_campaign(space, _acq(), SMALL_BUDGET, doe_n=4, seed=0,
+                      evaluator=evaluator)
+
+
+_LOW, _HIGH = (8.0, 0.75, 15.0), (12.0, 1.15, 20.0)     # no DOE point is a corner
+
+
+@pytest.mark.parametrize("pending, start, end", [
+    (lambda rows: [(5, _LOW)], "pending[0]: 'id' must be a unique string", ""),
+    (lambda rows: [("a", _LOW), ("a", _HIGH)], "pending[1]: 'id' must be", ""),
+    (lambda rows: [("a", _LOW[:2])], "pending[0]: 'x' must be a tuple of 3", ""),
+    (lambda rows: [("a", ("8.0", *_LOW[1:]))], "pending[0]: 'x' must be a finite", ""),
+    (lambda rows: [("a", (1e6, *_LOW[1:]))], "pending[0]: dimension 'd_bottle'", ""),
+    (lambda rows: [("a", _LOW), ("b", rows[2].x)],
+     "pending[1]: duplicate design point", "(matches dataset[2])"),
+    (lambda rows: [("a", _LOW), ("b", _HIGH), ("c", _HIGH)],
+     "pending[2]: duplicate design point", "(matches pending[1])"),
+], ids=["int_id", "duplicate_id", "short_x", "string_coordinate",
+        "out_of_bounds_x", "repeats_a_row", "repeats_a_pending_point"])
+def test_built_state_refuses_a_pending_entry_as_load_state_does(pending, start, end):
+    st = _embedded()
+    with pytest.raises(ValueError) as e:
+        CampaignState(space=st.space, acq=st.acq, budget=st.budget,
+                      dataset=st.dataset, rng_seed=0, pending=pending(st.dataset))
+    assert str(e.value).startswith(start) and str(e.value).endswith(end)
+
+
 @pytest.mark.parametrize("iters", [True, -1, 1.0])
 def test_run_campaign_refuses_a_non_count(iters):
     # True == 1 would otherwise run one iteration

@@ -938,6 +938,49 @@ def test_mistyped_state_scalar_is_io_error(tmp_path, capsys, command, field,
     assert (d / "state.json").read_bytes() == before
 
 
+def test_state_of_a_builtin_evaluator_on_another_space_is_io_error(tmp_path,
+                                                                  capsys):
+    # only the names differ from the quadratic's own space
+    d = tmp_path / "camp"
+    assert main(["run", "--evaluator", "quadratic", "--iters", "0", "--doe", "4",
+                 "--dir", str(d)]) == EXIT_OK
+    before = _edit_state(d, lambda doc: [dim.update(name=name) for dim, name
+                                         in zip(doc["space"], "ab")])
+    for command in ("propose", "report"):
+        capsys.readouterr()
+        assert main([command, "--dir", str(d)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "'space'" in err and "'quadratic'" in err and "Traceback" not in err
+        assert (d / "state.json").read_bytes() == before
+
+
+def test_commands_sync_what_they_wrote_before_exit_0(tmp_path, capsys,
+                                                     monkeypatch):
+    # the proposals CSV, then state.json through its temp file, then the
+    # directory that holds the rename
+    synced, real_fsync = [], os.fsync
+
+    def fsync(fd):
+        synced.append((os.fstat(fd).st_dev, os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def synced_since(*paths):
+        files = [(os.stat(p).st_dev, os.stat(p).st_ino) for p in paths]
+        got = synced[:]
+        synced.clear()
+        return got == files
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    d = tmp_path / "camp"
+    assert main(["init", "--config", str(_config(tmp_path)), "--dir", str(d)]) == EXIT_OK
+    assert synced_since(d / "proposals_iter0.csv", d / "state.json", d)
+    _answer(d / "proposals_iter0.csv", d / "r0.csv")
+    assert main(["ingest", str(d / "r0.csv"), "--dir", str(d)]) == EXIT_OK
+    assert synced_since(d / "state.json", d)
+    assert main(["propose", "--dir", str(d)]) == EXIT_OK
+    assert synced_since(d / "proposals_iter1.csv", d / "state.json", d)
+
+
 def test_unknown_state_version_is_io_error(tmp_path, capsys):
     d = _doe_ingested(tmp_path)
     bad = STATE_VERSION + 1

@@ -215,6 +215,15 @@ def test_dataset_rejects_non_finite():
         ds.append(Observation((9.0, 0.8, 16.0), float("nan"), 20.0))
 
 
+def test_dataset_names_an_out_of_bounds_row():
+    ds = Dataset(space=PRECHAMBER_SPACE)
+    ds.append(Observation((9.0, 0.8, 16.0), 100.0, 20.0))
+    with pytest.raises(DataError, match=r"^dataset\[2\]: dimension 'd_bore'"):
+        ds.append(Observation((10.0, 0.9, 17.0), 100.0, 20.0),
+                  Observation((10.0, 1.5, 17.0), 100.0, 20.0))
+    assert len(ds) == 1
+
+
 def test_dataset_refuses_a_tag_with_a_program_stage_label():
     # by hand, "iter1" would print as the stage of the program's bo_iter_1
     rows = [Observation(x, 100.0, 20.0, tag) for x, tag in zip(
