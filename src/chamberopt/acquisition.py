@@ -7,6 +7,7 @@ constraint threshold needs no transformation; the channel GPs are independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,25 +35,88 @@ def _norm_pdf(z: float) -> float:
     return np.exp(-z * z / 2.0) / np.sqrt(2 * np.pi)
 
 
-# The closed forms import scipy.special where they are called: no campaign,
-# optimizer or command-line path calls them, and a scipy subpackage import
-# costs each command-line process ~0.3 s.
+# Cephes (Moshier) ndtr, the code scipy.special.ndtr evaluates, ported so
+# that it returns the same double bit for bit. The erf table T/U serves
+# |x| < 1, the erfc tables P/Q serve 1 <= x < 8 and R/S serve x >= 8. Each
+# denominator table starts with the leading 1 that Cephes' p1evl leaves
+# implicit (1.0 * x is exact), and erfc uses math.exp, not np.exp, whose
+# SIMD path can round differently.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+# log(2**1024): erfc(x) is taken as 0 once x*x exceeds it
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner evaluation of the polynomial with coefficients ``coef``,
+    highest degree first."""
+    y = coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x: float) -> float:
+    """erf(x) for |x| < 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """erfc(x) for x >= 1/sqrt(2), the only arguments ``_ndtr`` passes, so
+    Cephes' branches for a negative argument are left out."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    if x * x > _MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return math.exp(-x * x) * _polevl(x, p) / _polevl(x, q)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF at the scalar ``a``, equal to
+    ``scipy.special.ndtr(a)`` bit for bit; nan gives nan."""
+    x = float(a) * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
 
 def expected_improvement(g: PosteriorGaussian, best: float) -> float:
     """Closed-form EI for maximization; zero-std degenerates to max(0, mu-best)."""
-    from scipy.special import ndtr
     if g.std == 0.0:
         return max(0.0, g.mean - best)
     z = (g.mean - best) / g.std
-    return float((g.mean - best) * ndtr(z) + g.std * _norm_pdf(z))
+    return float((g.mean - best) * _ndtr(z) + g.std * _norm_pdf(z))
 
 
 def probability_feasible(g: PosteriorGaussian, threshold: float) -> float:
     """P(constraint <= threshold) under the raw-unit constraint posterior."""
-    from scipy.special import ndtr
     if g.std == 0.0:
         return 1.0 if g.mean <= threshold else 0.0
-    return float(ndtr((threshold - g.mean) / g.std))
+    return _ndtr((threshold - g.mean) / g.std)
 
 
 def constrained_ei(gk: PosteriorGaussian, gv: PosteriorGaussian,

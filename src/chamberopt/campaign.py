@@ -257,10 +257,19 @@ def _records_from_json(doc, key: str) -> list:
     return records
 
 
+def fsync_dir(path: str) -> None:
+    """fsync the directory ``path``, so the entries made or renamed in it
+    survive a power loss."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def save_state(state: CampaignState, path: str) -> None:
-    """Serialize to versioned JSON via an fsynced temp file + rename (atomic).
-    The rename survives a crash once the directory is synced, as the CLI
-    does after each save."""
+    """Serialize to versioned JSON via an fsynced temp file + rename (atomic),
+    then fsync the directory, so the rename survives a power loss too."""
     doc = {
         "version": STATE_VERSION,
         "evaluator": state.evaluator,
@@ -284,6 +293,7 @@ def save_state(state: CampaignState, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    fsync_dir(d)
 
 
 def _section(doc, key: str, cls):

@@ -39,15 +39,11 @@ def _refuse_a_live_campaign(dirname: str) -> None:
         raise InvalidStateError(f"{path} already exists; use another --dir")
 
 
-def _save(state, dirname: str) -> None:
-    """``save_state`` to the campaign's state.json, then fsync the directory,
-    so the rename, like every file a command wrote, survives a crash."""
-    camp.save_state(state, _state_path(dirname))
-    fd = os.open(dirname, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+def _make_dir(dirname: str) -> None:
+    """Create the campaign directory if needed and fsync its parent, so the
+    directory survives a power loss with the files a command syncs in it."""
+    os.makedirs(dirname, exist_ok=True)
+    camp.fsync_dir(os.path.dirname(os.path.abspath(dirname)))
 
 
 def _add_dir_arg(p):
@@ -135,12 +131,12 @@ def _cmd_init(args):
     state = camp.init_campaign(space, acq, budget,
                                doe_n=cfg.get("doe_n", 10),
                                seed=cfg.get("seed", 0), evaluator=evaluator)
-    os.makedirs(args.dir, exist_ok=True)
+    _make_dir(args.dir)
     if state.pending:
         path = proposals_path(args.dir, state.batch)
         write_proposals(path, space, state.pending)
         print(f"wrote {path} ({len(state.pending)} DOE proposals)")
-    _save(state, args.dir)
+    camp.save_state(state, _state_path(args.dir))
     print(f"campaign initialized in {args.dir}")
     return EXIT_OK
 
@@ -153,7 +149,7 @@ def _cmd_propose(args):
         done = f"wrote {path} ({len(state.pending)} proposals)"
     else:
         done = f"evaluated iteration {state.iteration} ({len(state.dataset)} rows)"
-    _save(state, args.dir)
+    camp.save_state(state, _state_path(args.dir))
     print(done)
     return EXIT_OK
 
@@ -161,7 +157,7 @@ def _cmd_propose(args):
 def _cmd_ingest(args):
     state = camp.load_state(_state_path(args.dir))
     state = camp.ingest(state, args.results)
-    _save(state, args.dir)
+    camp.save_state(state, _state_path(args.dir))
     print(f"ingested {args.results}; dataset now has {len(state.dataset)} rows")
     return EXIT_OK
 
@@ -176,8 +172,8 @@ def _cmd_run(args):
     state = camp.init_campaign(space, acq, budget, doe_n=args.doe,
                                seed=args.seed, evaluator=args.evaluator)
     state = camp.run_campaign(state, args.iters)
-    os.makedirs(args.dir, exist_ok=True)
-    _save(state, args.dir)
+    _make_dir(args.dir)
+    camp.save_state(state, _state_path(args.dir))
     print(emit_table(state, args.dir))
     return EXIT_OK
 

@@ -6,9 +6,8 @@ fitted by a multi-start, box-constrained quasi-Newton search on the log
 marginal likelihood. A model answers in the raw output units it was fitted
 on: standardization is this module's business alone.
 
-numpy is the only numeric dependency here: each ``scipy`` subpackage import
-costs a command-line process (every ask-tell step is one) a few tenths of a
-second and tens of MB. A model keeps the inverse of its Cholesky factor, so
+numpy is the package's only runtime dependency; scipy serves the tests
+alone, as a reference. A model keeps the inverse of its Cholesky factor, so
 posterior queries are matrix products, and ``boxmin.minimize_box`` takes the
 place of scipy's L-BFGS-B with the same stopping rules.
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from chamberopt.acquisition import (AcquisitionConfig, constrained_ei,
-                                    expected_improvement, probability_feasible,
-                                    q_feasibility_mc, qcei_mc)
+from chamberopt.acquisition import (_MAXLOG, AcquisitionConfig, _ndtr,
+                                    constrained_ei, expected_improvement,
+                                    probability_feasible, q_feasibility_mc,
+                                    qcei_mc)
 from chamberopt.campaign import CampaignState, best_so_far
 from chamberopt.errors import InvalidStateError
 from chamberopt.evaluators import Dataset, Observation
@@ -91,6 +92,27 @@ def test_closed_forms_match_scipy_norm_exactly():
                     (mean - ref) * norm.cdf(z) + std * norm.pdf(z))
                 assert probability_feasible(_g(mean, std), ref) == float(
                     norm.cdf((ref - mean) / std))
+
+
+def test_ndtr_port_matches_scipy_bit_for_bit():
+    from scipy.special import ndtr
+    # the branch edges: ndtr's switch at |z| = 1, erfc's at sqrt(2) and
+    # 8 sqrt(2), and the underflow of exp(-z*z/2) at sqrt(2 MAXLOG)
+    edges = [1.0, np.sqrt(2.0), 8 * np.sqrt(2.0), np.sqrt(2 * _MAXLOG)]
+    edges = [e for edge in edges for sign in (1.0, -1.0) for e in
+             (np.nextafter(sign * edge, -np.inf), sign * edge,
+              np.nextafter(sign * edge, np.inf))]
+    tiny = np.finfo(float).tiny
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny / 2, -tiny / 2, tiny, -tiny,
+               np.inf, -np.inf, np.nan, 1e308, -1e308]
+    zs = np.concatenate([np.linspace(-40.0, 40.0, 160_001), edges, special])
+    ours = np.array([_ndtr(z) for z in zs])
+    ref = ndtr(zs)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(ours), nan)
+    mismatches = np.count_nonzero(ours[~nan].view(np.int64)
+                                  != ref[~nan].view(np.int64))
+    assert mismatches == 0
 
 
 def test_ei_monotonic_in_mean_and_std():

@@ -532,6 +532,8 @@ def test_save_is_atomic(tmp_path, monkeypatch):
 
 
 def test_save_fsyncs_the_temp_file_before_the_rename(tmp_path, monkeypatch):
+    # the temp file is synced, then renamed, then the directory that holds
+    # the rename is synced
     events = []
     real_fsync, real_replace = os.fsync, os.replace
 
@@ -546,8 +548,9 @@ def test_save_fsyncs_the_temp_file_before_the_rename(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
     save_state(_embedded(), tmp_path / "state.json")
-    assert events[-1][0] == "replace"
-    assert ("fsync", events[-1][1]) in events[:-1]
+    tmp = os.stat(tmp_path / "state.json").st_ino
+    assert events == [("fsync", tmp), ("replace", tmp),
+                      ("fsync", os.stat(tmp_path).st_ino)]
 
 
 def test_resume_matches_straight_through(tmp_path):

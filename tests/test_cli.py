@@ -956,7 +956,8 @@ def test_state_of_a_builtin_evaluator_on_another_space_is_io_error(tmp_path,
 
 def test_commands_sync_what_they_wrote_before_exit_0(tmp_path, capsys,
                                                      monkeypatch):
-    # the proposals CSV, then state.json through its temp file, then the
+    # a directory that init or run creates, through its parent; then the
+    # proposals CSV, then state.json through its temp file, then the
     # directory that holds the rename
     synced, real_fsync = [], os.fsync
 
@@ -973,12 +974,16 @@ def test_commands_sync_what_they_wrote_before_exit_0(tmp_path, capsys,
     monkeypatch.setattr(os, "fsync", fsync)
     d = tmp_path / "camp"
     assert main(["init", "--config", str(_config(tmp_path)), "--dir", str(d)]) == EXIT_OK
-    assert synced_since(d / "proposals_iter0.csv", d / "state.json", d)
+    assert synced_since(tmp_path, d / "proposals_iter0.csv",
+                        d / "state.json", d)
     _answer(d / "proposals_iter0.csv", d / "r0.csv")
     assert main(["ingest", str(d / "r0.csv"), "--dir", str(d)]) == EXIT_OK
     assert synced_since(d / "state.json", d)
     assert main(["propose", "--dir", str(d)]) == EXIT_OK
     assert synced_since(d / "proposals_iter1.csv", d / "state.json", d)
+    r = tmp_path / "run"
+    assert main(_run_args(r)) == EXIT_OK
+    assert synced_since(tmp_path, r / "state.json", r)
 
 
 def test_unknown_state_version_is_io_error(tmp_path, capsys):
@@ -1169,7 +1174,7 @@ def test_fuzzed_results_csv_ingests_whole_or_is_protocol_error(
 def test_cli_commands_leave_scipy_unloaded(tmp_path):
     # every CLI call is a fresh process, and any scipy subpackage import
     # costs it a few tenths of a second and tens of MB; with scipy made
-    # unimportable the commands must still run
+    # unimportable the commands and the closed-form acquisitions must still run
     src = os.path.dirname(os.path.dirname(chamberopt.__file__))
 
     def scipy_modules_after(*argvs):
@@ -1182,6 +1187,12 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path):
                 "from chamberopt.cli import main\n"
                 + "".join(f"assert main({list(map(str, a))!r}) == 0\n"
                           for a in argvs)
+                + "from chamberopt import (PosteriorGaussian, constrained_ei,\n"
+                  "    expected_improvement, probability_feasible)\n"
+                  "g = PosteriorGaussian(mean=1.0, std=2.0)\n"
+                  "assert 0 < probability_feasible(g, 3.0) < 1\n"
+                  "assert 0 < constrained_ei(g, g, 0.5, 3.0) "
+                  "< expected_improvement(g, 0.5)\n"
                 + "print(sorted(m for m in sys.modules "
                   "if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -177,6 +177,14 @@ def test_read_results_nan_reports_row(tmp_path):
         read_results(path, ["a", "b"])
 
 
+def test_read_results_reads_numbers_as_python_float(tmp_path):
+    # float() takes surrounding whitespace, "_" between digits and
+    # non-ASCII decimal digits, here a fullwidth 3
+    path = tmp_path / "r.csv"
+    path.write_text("id,k,v_mag\na, 1_000 ,３\n", encoding="utf-8")
+    assert read_results(path, ["a"]) == [("a", 1000.0, 3.0)]
+
+
 def test_read_results_bad_header(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("id,k,v\n")
