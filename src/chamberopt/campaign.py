@@ -5,15 +5,14 @@ batch, the DOE's and each iteration's, is issued one way: embedded mode
 evaluates it with a built-in function; external mode leaves it pending for
 the caller, who writes its proposals CSV and returns a results CSV
 (ask-tell). The library writes no proposals file. The dataset is the one
-record of progress. State is stored as versioned JSON, written atomically.
+record of progress. State is stored as versioned JSON in a 0600 file that
+``evaluators.write_file`` replaces whole or not at all, synced.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .acquisition import AcquisitionConfig
 from .errors import DataError, InvalidStateError, StateFileError
 from .evaluators import (EVALUATORS, Dataset, Observation, proposal_ids,
-                         read_results, stage_label)
+                         read_results, stage_label, write_file)
 # campaign_bench/tracer.py wraps campaign.write_proposals, so the name stays
 from .evaluators import write_proposals  # noqa: F401
 from .gp import GpModel, fit
@@ -257,19 +256,8 @@ def _records_from_json(doc, key: str) -> list:
     return records
 
 
-def fsync_dir(path: str) -> None:
-    """fsync the directory ``path``, so the entries made or renamed in it
-    survive a power loss."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def save_state(state: CampaignState, path: str) -> None:
-    """Serialize to versioned JSON via an fsynced temp file + rename (atomic),
-    then fsync the directory, so the rename survives a power loss too."""
+    """Serialize to versioned JSON with ``write_file``, mode 0600."""
     doc = {
         "version": STATE_VERSION,
         "evaluator": state.evaluator,
@@ -281,19 +269,7 @@ def save_state(state: CampaignState, path: str) -> None:
                     for r in state.dataset],
         "pending": [{"id": pid, "x": list(x)} for pid, x in state.pending],
     }
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".state-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    fsync_dir(d)
+    write_file(path, lambda f: json.dump(doc, f, indent=1), mode=0o600)
 
 
 def _section(doc, key: str, cls):

@@ -10,7 +10,7 @@ import sys
 from . import campaign as camp
 from .acquisition import AcquisitionConfig
 from .errors import InvalidStateError, NumericError, ProtocolError
-from .evaluators import EVALUATORS, proposals_path, write_proposals
+from .evaluators import EVALUATORS, fsync_dir, proposals_path, write_proposals
 from .optim import OptimizerBudget
 from .report import DEFAULT_SLICE_RESOLUTION, emit_slices, emit_table
 from .space import ParameterSpace
@@ -40,10 +40,15 @@ def _refuse_a_live_campaign(dirname: str) -> None:
 
 
 def _make_dir(dirname: str) -> None:
-    """Create the campaign directory if needed and fsync its parent, so the
-    directory survives a power loss with the files a command syncs in it."""
-    os.makedirs(dirname, exist_ok=True)
-    camp.fsync_dir(os.path.dirname(os.path.abspath(dirname)))
+    """Create the campaign directory and its missing ancestors, top-down,
+    fsyncing the parent of each, so the directory survives a power loss with
+    the files a command syncs in it."""
+    missing = [os.path.abspath(dirname)]
+    while not os.path.isdir(os.path.dirname(missing[-1])):
+        missing.append(os.path.dirname(missing[-1]))
+    for path in reversed(missing):
+        os.makedirs(path, exist_ok=True)
+        fsync_dir(os.path.dirname(path))
 
 
 def _add_dir_arg(p):

@@ -2,7 +2,9 @@
 
 Built-in evaluators (analytic prechamber proxy, quadratic benchmark) run
 in-process; the CSV proposal/result protocol replaces them with an external
-simulation pipeline that may complete jobs out of order.
+simulation pipeline that may complete jobs out of order. Every file the
+package writes goes through ``write_file``: whole or not at all, synced with
+its directory, so a pipeline polling for a proposals CSV never reads half one.
 """
 
 from __future__ import annotations
@@ -159,20 +161,52 @@ def proposal_ids(iteration: int, count: int) -> list[str]:
     return [f"iter{iteration}_{j}" for j in range(count)]
 
 
+def fsync_dir(path) -> None:
+    """fsync the directory ``path``, so the entries made or renamed in it
+    survive a power loss."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def write_file(path, write, mode: int = 0o666) -> None:
+    """Replace ``path`` whole or not at all: ``write(f)`` fills a UTF-8 temp
+    file ``.<stem>-*<ext>`` beside it, created ``mode`` less the umask, which
+    is fsynced and renamed over ``path``; then the directory is fsynced. Any
+    exception removes the temp file and leaves ``path`` as it was."""
+    d, name = os.path.split(os.path.abspath(path))
+    stem, ext = os.path.splitext(name)
+    tmp = os.path.join(d, f".{stem}-{os.urandom(6).hex()}{ext}")
+    f = open(tmp, "x", newline="", encoding="utf-8",
+             opener=lambda p, flags: os.open(p, flags, mode))
+    try:
+        with f:
+            write(f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    fsync_dir(d)
+
+
+def write_csv(path, rows) -> None:
+    """``write_file`` of the ``csv.writer`` rows ``rows``, which may be a generator."""
+    write_file(path, lambda f: csv.writer(f).writerows(rows))
+
+
 def write_proposals(path, space: ParameterSpace, batch) -> None:
     """Write the (id, x) proposals ``batch``, a campaign's pending batch, as
-    they are to a proposals CSV (header id,<dim names>), synced to disk."""
+    they are to a proposals CSV (header id,<dim names>) with ``write_csv``."""
     if not batch:
         raise ValueError("empty proposal batch")
     space.to_unit([x for _, x in batch])        # bounds check
     try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["id"] + space.names)
-            for pid, x in batch:
-                w.writerow([pid] + [f"{v:.17g}" for v in x])
-            f.flush()
-            os.fsync(f.fileno())
+        write_csv(path, [["id"] + space.names] +
+                  [[pid] + [f"{v:.17g}" for v in x] for pid, x in batch])
     except OSError as e:
         raise OSError(f"cannot write proposals file {path}: {e}") from e
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import csv
+import itertools
 import os
 
 import numpy as np
 
 from .campaign import CampaignState, best_so_far, fit_models
 from .errors import InvalidStateError
+from .evaluators import write_csv
 from .gp import posterior
 from .space import count
 
@@ -28,13 +29,9 @@ def emit_table(state: CampaignState, out_dir: str) -> str:
     header = ["stage", "k", "v_mag"] + state.space.names
     _, trace = best_so_far(state)
     for name, view in (("table.csv", "cumulative"), ("table_batch.csv", "batch")):
-        with open(os.path.join(out_dir, name), "w", newline="",
-                  encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            for entry in trace:
-                w.writerow([entry["stage"]] + _cells(entry[view], ".17g", "",
-                                                     len(header) - 1))
+        write_csv(os.path.join(out_dir, name), [header] + [
+            [entry["stage"]] + _cells(entry[view], ".17g", "", len(header) - 1)
+            for entry in trace])
 
     rows = [[entry["stage"]] + _cells(entry["cumulative"], ".2f", "-",
                                       len(header) - 1) for entry in trace]
@@ -69,20 +66,12 @@ def emit_slices(state: CampaignState, out_dir: str,
         grid[:, i] = coords
         mean, std = posterior(mk, state.space.to_unit(grid))
         for col, values in (("mean", mean), ("std", std)):
-            path = os.path.join(out_dir, f"slice_{dim.name}_{col}.csv")
-            with open(path, "w", newline="", encoding="utf-8") as f:
-                w = csv.writer(f)
-                w.writerow([dim.name, f"k_{col}"])
-                for c, v in zip(coords, values):
-                    w.writerow([f"{c:.17g}", f"{v:.17g}"])
-            paths.append(path)
+            paths.append(os.path.join(out_dir, f"slice_{dim.name}_{col}.csv"))
+            write_csv(paths[-1], itertools.chain([[dim.name, f"k_{col}"]], (
+                [f"{c:.17g}", f"{v:.17g}"] for c, v in zip(coords, values))))
 
-    markers = os.path.join(out_dir, "slice_markers.csv")
-    with open(markers, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["kind"] + state.space.names + ["k"])
-        for obs in state.dataset:
-            kind = "incumbent" if obs is best else "train"
-            w.writerow([kind] + [f"{v:.17g}" for v in obs.x] + [f"{obs.k:.17g}"])
-    paths.append(markers)
+    paths.append(os.path.join(out_dir, "slice_markers.csv"))
+    write_csv(paths[-1], itertools.chain([["kind"] + state.space.names + ["k"]], (
+        ["incumbent" if obs is best else "train"]
+        + [f"{v:.17g}" for v in obs.x] + [f"{obs.k:.17g}"] for obs in state.dataset)))
     return paths

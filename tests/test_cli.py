@@ -956,9 +956,10 @@ def test_state_of_a_builtin_evaluator_on_another_space_is_io_error(tmp_path,
 
 def test_commands_sync_what_they_wrote_before_exit_0(tmp_path, capsys,
                                                      monkeypatch):
-    # a directory that init or run creates, through its parent; then the
-    # proposals CSV, then state.json through its temp file, then the
-    # directory that holds the rename
+    # a directory that init or run creates, through its parent; then each
+    # file it writes (the proposals CSV, state.json, the tables, the slice
+    # grids) through its temp file, each followed by the directory that
+    # holds the rename
     synced, real_fsync = [], os.fsync
 
     def fsync(fd):
@@ -974,16 +975,28 @@ def test_commands_sync_what_they_wrote_before_exit_0(tmp_path, capsys,
     monkeypatch.setattr(os, "fsync", fsync)
     d = tmp_path / "camp"
     assert main(["init", "--config", str(_config(tmp_path)), "--dir", str(d)]) == EXIT_OK
-    assert synced_since(tmp_path, d / "proposals_iter0.csv",
+    assert synced_since(tmp_path, d / "proposals_iter0.csv", d,
                         d / "state.json", d)
     _answer(d / "proposals_iter0.csv", d / "r0.csv")
     assert main(["ingest", str(d / "r0.csv"), "--dir", str(d)]) == EXIT_OK
     assert synced_since(d / "state.json", d)
     assert main(["propose", "--dir", str(d)]) == EXIT_OK
-    assert synced_since(d / "proposals_iter1.csv", d / "state.json", d)
+    assert synced_since(d / "proposals_iter1.csv", d, d / "state.json", d)
     r = tmp_path / "run"
     assert main(_run_args(r)) == EXIT_OK
-    assert synced_since(tmp_path, r / "state.json", r)
+    assert synced_since(tmp_path, r / "state.json", r, r / "table.csv", r,
+                        r / "table_batch.csv", r)
+    assert main(["report", "--dir", str(r)]) == EXIT_OK
+    assert synced_since(r / "table.csv", r, r / "table_batch.csv", r)
+    assert main(["slices", "--dir", str(r), "--resolution", "3"]) == EXIT_OK
+    assert synced_since(*(p for dim in PRECHAMBER_SPACE.names for col in
+                          ("mean", "std") for p in (r / f"slice_{dim}_{col}.csv", r)),
+                        r / "slice_markers.csv", r)
+    # missing ancestors too, top-down, each through its parent
+    a, c = tmp_path / "a", tmp_path / "a" / "b" / "camp"
+    assert main(["init", "--config", str(_config(tmp_path)), "--dir", str(c)]) == EXIT_OK
+    assert synced_since(tmp_path, a, a / "b", c / "proposals_iter0.csv", c,
+                        c / "state.json", c)
 
 
 def test_unknown_state_version_is_io_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -13,7 +14,8 @@ from chamberopt.errors import (BoundsViolationError, DataError, ProtocolError)
 from chamberopt.evaluators import (QUADRATIC_SPACE, Dataset, Observation,
                                    benchmark_quadratic, proposal_ids,
                                    proxy_prechamber, read_proposals,
-                                   read_results, stage_label, write_proposals)
+                                   read_results, stage_label, write_csv,
+                                   write_proposals)
 from chamberopt.optim import OptimizerBudget
 from chamberopt.space import PRECHAMBER_SPACE
 
@@ -132,6 +134,38 @@ def test_proposals_round_trip_lossless(tmp_path):
     assert [pid for pid, _ in back] == proposal_ids(2, 5)
     # .17g round-trips float64 exactly
     np.testing.assert_array_equal(np.array([x for _, x in back]), xs)
+
+
+def test_a_write_that_fails_halfway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, [["stage", "k"], ["doe", "1.5"]])
+    before = path.read_bytes()
+
+    def rows():
+        yield ["stage", "k"]
+        yield ["doe", "2.5"]
+        raise RuntimeError("evaluator died")
+
+    with pytest.raises(RuntimeError, match="evaluator died"):
+        write_csv(path, rows())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["table.csv"]      # no .table-* temp file
+
+
+def test_written_files_take_their_modes_under_the_umask(tmp_path):
+    # a proposals CSV as open() would create it, state.json owner-only
+    batch = [("a", (9.0, 0.8, 16.0))]
+    state = CampaignState(space=QUADRATIC_SPACE, acq=AcquisitionConfig(),
+                          budget=OptimizerBudget(),
+                          dataset=Dataset(space=QUADRATIC_SPACE), rng_seed=0)
+    old = os.umask(0o027)
+    try:
+        write_proposals(tmp_path / "proposals_iter0.csv", PRECHAMBER_SPACE, batch)
+        save_state(state, tmp_path / "state.json")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"proposals_iter0.csv": 0o640, "state.json": 0o600}
 
 
 def _write_results(path, rows):
